@@ -1,5 +1,6 @@
 package repro.core.interp
 
+import scala.annotation.switch
 import repro.core._
 
 /** Anchor-based level-wise interpolation predictor (Sections 5 and 6.3).
@@ -23,31 +24,32 @@ import repro.core._
   *  - fast-varying-first traversal toggle (Section 5.4.1);
   *  - per-level error bounds (Eq. 15);
   *  - per-block spline override from block-wise tuning (Section 6.6).
+  *
+  * The traversal works on whole lines (the loop structure of SZ3, Liang et
+  * al., IEEE TBD 2022, and QoZ, Liu et al., SC'22): no point of a pass
+  * predicts from another point of the same pass, so each line is
+  * predicted into a buffer — boundary cases and the block spline resolved
+  * once per line segment, boundary points peeled off, interior points in
+  * one full-stencil loop — and then handed to the compress, decompress or
+  * trial loop in one call.
   */
 object LevelInterp {
 
   /** Quantizer code radius shared by all interpolation compressors. */
   val Radius: Int = 32768
 
-  /** Receives every predicted point in traversal order. */
-  trait Sink {
-    /** Called before each level's passes begin. */
-    def startLevel(level: Int, eb: Double): Unit
-    /** Handles point `idx` with prediction `pred`; returns the
-      * reconstructed value to write back into the working array.
-      */
-    def handle(idx: Int, pred: Double): Double
-  }
-
   /** Output of a compression traversal. */
   final case class InterpResult(codes: Array[Int], outliers: Array[Double], anchors: Array[Double])
 
   /** Aggregate statistics from a tuning trial (Section 6.2).
     *
-    * @param sumSqRecon   Σ (reconstruction − original)² — drives the tuner's
-    *                     PSNR estimate
-    * @param perLevelAbs  Σ |prediction error| per level (index l−1)
-    * @param perLevelCnt  predicted-point count per level
+    * @param sumSqRecon     Σ (reconstruction − original)² — drives the tuner's
+    *                       PSNR estimate
+    * @param estPayloadBits Huffman+Zstd bits of the codes plus 36 bits per
+    *                       outlier; NaN when the trial ran with
+    *                       `encode = false` (error statistics only)
+    * @param perLevelAbs    Σ |prediction error| per level (index l−1)
+    * @param perLevelCnt    predicted-point count per level
     */
   final case class TrialStats(nPredicted: Long, sumAbsErr: Double, sumSqErr: Double,
                               sumSqRecon: Double, estPayloadBits: Double, nAnchors: Long,
@@ -66,15 +68,6 @@ object LevelInterp {
   // ---------------------------------------------------------------------
   // Anchors
 
-  /** Iterates anchor flat-indices in deterministic (row-major) order. */
-  def forEachAnchor(dims: Array[Int], strides: Array[Int], anchorStride: Int,
-                    frozenDim: Int)(f: Int => Unit): Unit = {
-    val nd = dims.length
-    val starts = new Array[Int](nd)
-    val steps = Array.tabulate(nd)(k => if (k == frozenDim) 1 else anchorStride)
-    odometer(dims, strides, starts, steps, Array.range(0, nd), null)((idx, _) => f(idx))
-  }
-
   def countAnchors(dims: Array[Int], anchorStride: Int, frozenDim: Int): Long = {
     var n = 1L
     var k = 0
@@ -85,6 +78,22 @@ object LevelInterp {
     n
   }
 
+  /** Anchor flat indices in row-major order. */
+  private def anchorIndices(grid: GridData, plan: InterpPlan): Array[Int] = {
+    val nd = grid.ndim
+    val steps = Array.tabulate(nd)(k => if (k == plan.frozenDim) 1 else plan.anchorStride)
+    val out = new Array[Int](countAnchors(grid.dims, plan.anchorStride, plan.frozenDim).toInt)
+    val lines = new Lines(grid.dims, grid.strides, new Array[Int](nd), steps, nd - 1)
+    var n = 0
+    while (lines.valid) {
+      var i = 0
+      var idx = lines.base
+      while (i < lines.length) { out(n) = idx; n += 1; idx += lines.idxStep; i += 1 }
+      lines.next()
+    }
+    out
+  }
+
   // ---------------------------------------------------------------------
   // Public entry points
 
@@ -92,15 +101,17 @@ object LevelInterp {
     * reconstruction) and collects quantization codes / outliers / anchors.
     */
   def compressWith(work: GridData, plan: InterpPlan): InterpResult = {
-    val anchors = new Array[Double](countAnchors(work.dims, plan.anchorStride, plan.frozenDim).toInt)
-    var ai = 0
-    forEachAnchor(work.dims, work.strides, plan.anchorStride, plan.frozenDim) { idx =>
-      val v = work.data(idx).toFloat.toDouble // fp32 lossless storage (inputs are fp32-exact)
-      anchors(ai) = v; work.data(idx) = v; ai += 1
+    val anchorIdx = anchorIndices(work, plan)
+    val anchors = new Array[Double](anchorIdx.length)
+    var i = 0
+    while (i < anchorIdx.length) {
+      val v = work.data(anchorIdx(i)).toFloat.toDouble // fp32 lossless storage (inputs are fp32-exact)
+      anchors(i) = v; work.data(anchorIdx(i)) = v
+      i += 1
     }
-    val sink = new CompressSink(work.data)
-    traverse(work, plan, sink)
-    InterpResult(sink.quant.codesArray0, sink.quant.outliersArray0, anchors)
+    val t = new CompressTraversal(work, plan, work.size - anchors.length)
+    t.run()
+    InterpResult(t.quant.codesArray0, t.quant.outliersArray0, anchors)
   }
 
   /** Rebuilds the grid from codes/outliers/anchors by replaying the
@@ -109,47 +120,45 @@ object LevelInterp {
   def decompressWith(plan: InterpPlan, codes: Array[Int], outliers: Array[Double],
                      anchors: Array[Double]): GridData = {
     val grid = new GridData(plan.dims.clone(), new Array[Double](plan.dims.map(_.toLong).product.toInt))
-    var ai = 0
-    forEachAnchor(grid.dims, grid.strides, plan.anchorStride, plan.frozenDim) { idx =>
-      grid.data(idx) = anchors(ai); ai += 1
-    }
-    val sink = new DecompressSink(codes, outliers)
-    traverse(grid, plan, sink)
+    val anchorIdx = anchorIndices(grid, plan)
+    var i = 0
+    while (i < anchorIdx.length) { grid.data(anchorIdx(i)) = anchors(i); i += 1 }
+    new DecompressTraversal(grid, plan, codes, outliers).run()
     grid
   }
 
   /** Tuning trial: runs the traversal on a COPY of `grid`, quantizing with
-    * the plan's error bounds, and returns error/size statistics. The
-    * entropy estimate stands in for Huffman+Zstd size (QoZ's approach).
+    * the plan's error bounds, and returns error/size statistics. With
+    * `encode` the codes go through the real entropy stage (Huffman + Zstd)
+    * for the size estimate: Shannon entropy misranks configurations because
+    * it ignores both the Huffman table and Zstd's gains on concentrated
+    * streams. Callers that only need prediction-error statistics pass
+    * `encode = false` and get no size estimate.
     */
   def trial(grid: GridData, plan: InterpPlan, encode: Boolean = true): TrialStats = {
     val work = grid.copyGrid
-    val nAnchors = countAnchors(work.dims, plan.anchorStride, plan.frozenDim)
-    forEachAnchor(work.dims, work.strides, plan.anchorStride, plan.frozenDim) { idx =>
-      work.data(idx) = work.data(idx).toFloat.toDouble
-    }
-    val sink = new TrialSink(work.data, plan.maxLevel)
-    traverse(work, plan, sink)
-    val codes = sink.quant.codesArray0
-    // Estimate the payload with the REAL entropy stage (Huffman + Zstd):
-    // Shannon entropy misranks configurations because it ignores both the
-    // Huffman table and Zstd's gains on concentrated streams. Callers that
-    // only need prediction-error statistics pass encode = false.
-    val encodedBits =
-      if (codes.isEmpty) 0.0
-      else if (encode) Lossless.compress(Huffman.encode(codes)).length * 8.0
-      else Huffman.entropyBits(codes) * codes.length
-    TrialStats(sink.count, sink.sumAbs, sink.sumSq, sink.sumSqRecon,
-      encodedBits + 36.0 * sink.quant.outliersArray0.length, nAnchors,
-      sink.levelAbs, sink.levelCnt)
+    val anchorIdx = anchorIndices(work, plan)
+    var i = 0
+    while (i < anchorIdx.length) { work.data(anchorIdx(i)) = work.data(anchorIdx(i)).toFloat.toDouble; i += 1 }
+    val t = new TrialTraversal(work, plan)
+    t.run()
+    val estPayloadBits =
+      if (!encode) Double.NaN
+      else {
+        val codes = t.quant.codesArray0
+        val codeBits = if (codes.isEmpty) 0.0 else Lossless.compress(Huffman.encode(codes)).length * 8.0
+        codeBits + 36.0 * t.quant.outliersArray0.length
+      }
+    TrialStats(t.count, t.sumAbs, t.sumSq, t.sumSqRecon, estPayloadBits, anchorIdx.length,
+      t.levelAbs, t.levelCnt)
   }
 
   // ---------------------------------------------------------------------
-  // Sinks
+  // Buffers and quantizer
 
   /** Growable int buffer without boxing. */
   private[interp] final class IntBuf(initial: Int = 1 << 12) {
-    private var a = new Array[Int](initial)
+    private var a = new Array[Int](math.max(16, initial))
     private var n = 0
     def +=(v: Int): Unit = {
       if (n == a.length) a = java.util.Arrays.copyOf(a, a.length * 2)
@@ -168,9 +177,9 @@ object LevelInterp {
     def toArray: Array[Double] = java.util.Arrays.copyOf(a, n)
   }
 
-  /** Inline quantizer shared by compress/trial sinks (code 0 = outlier). */
-  private[interp] final class StreamQuantizer {
-    private val codes = new IntBuf()
+  /** Inline quantizer shared by the compress and trial loops (code 0 = outlier). */
+  private[interp] final class StreamQuantizer(expectedCodes: Int) {
+    private val codes = new IntBuf(expectedCodes)
     private val outs = new DblBuf()
     private var eb = 1.0
     private var twoEb = 2.0
@@ -190,270 +199,416 @@ object LevelInterp {
     def outliersArray0: Array[Double] = outs.toArray
   }
 
-  private final class CompressSink(data: Array[Double]) extends Sink {
-    val quant = new StreamQuantizer
-    def startLevel(level: Int, eb: Double): Unit = quant.setEb(eb)
-    def handle(idx: Int, pred: Double): Double = quant.quantize(data(idx), pred)
-  }
+  // ---------------------------------------------------------------------
+  // Line consumers: one monomorphic loop each for compress, decompress and trial
 
-  private final class DecompressSink(codes: Array[Int], outliers: Array[Double]) extends Sink {
-    private var ci = 0
-    private var oi = 0
-    private var twoEb = 2.0
-    def startLevel(level: Int, eb: Double): Unit = twoEb = 2 * eb
-    def handle(idx: Int, pred: Double): Double = {
-      val code = codes(ci); ci += 1
-      if (code == 0) { val v = outliers(oi); oi += 1; v }
-      else pred + (code - Radius).toDouble * twoEb
+  private final class CompressTraversal(grid: GridData, plan: InterpPlan, expectedCodes: Int)
+      extends Traversal(grid, plan) {
+    val quant = new StreamQuantizer(expectedCodes)
+    protected def startLevel(level: Int, eb: Double): Unit = quant.setEb(eb)
+    protected def line(pred: Array[Double], m: Int, idx0: Int, step: Int): Unit = {
+      var i = 0
+      var idx = idx0
+      while (i < m) {
+        data(idx) = quant.quantize(data(idx), pred(i))
+        i += 1; idx += step
+      }
     }
   }
 
-  private final class TrialSink(data: Array[Double], maxLevel: Int) extends Sink {
-    val quant = new StreamQuantizer
+  private final class DecompressTraversal(grid: GridData, plan: InterpPlan, codes: Array[Int],
+                                          outliers: Array[Double]) extends Traversal(grid, plan) {
+    private var ci = 0
+    private var oi = 0
+    private var twoEb = 2.0
+    protected def startLevel(level: Int, eb: Double): Unit = twoEb = 2 * eb
+    protected def line(pred: Array[Double], m: Int, idx0: Int, step: Int): Unit = {
+      var c = ci
+      var i = 0
+      var idx = idx0
+      while (i < m) {
+        val code = codes(c); c += 1
+        data(idx) =
+          if (code == 0) { val v = outliers(oi); oi += 1; v }
+          else pred(i) + (code - Radius).toDouble * twoEb
+        i += 1; idx += step
+      }
+      ci = c
+    }
+  }
+
+  private final class TrialTraversal(grid: GridData, plan: InterpPlan) extends Traversal(grid, plan) {
+    val quant = new StreamQuantizer(grid.size)
     var count = 0L
     var sumAbs = 0.0
     var sumSq = 0.0
     var sumSqRecon = 0.0
-    val levelAbs = new Array[Double](maxLevel)
-    val levelCnt = new Array[Long](maxLevel)
+    val levelAbs = new Array[Double](plan.maxLevel)
+    val levelCnt = new Array[Long](plan.maxLevel)
     private var curLevel = 1
-    def startLevel(level: Int, eb: Double): Unit = { curLevel = level; quant.setEb(eb) }
-    def handle(idx: Int, pred: Double): Double = {
-      val v = data(idx)
-      val err = v - pred
-      count += 1; sumAbs += math.abs(err); sumSq += err * err
-      levelAbs(curLevel - 1) += math.abs(err)
-      levelCnt(curLevel - 1) += 1
-      val recon = quant.quantize(v, pred)
-      val re = recon - v
-      sumSqRecon += re * re
-      recon
+    protected def startLevel(level: Int, eb: Double): Unit = { curLevel = level; quant.setEb(eb) }
+    protected def line(pred: Array[Double], m: Int, idx0: Int, step: Int): Unit = {
+      var absL = levelAbs(curLevel - 1)
+      var sa = sumAbs
+      var sq = sumSq
+      var sr = sumSqRecon
+      var i = 0
+      var idx = idx0
+      while (i < m) {
+        val v = data(idx)
+        val p = pred(i)
+        val err = v - p
+        sa += math.abs(err); sq += err * err
+        absL += math.abs(err)
+        val recon = quant.quantize(v, p)
+        val re = recon - v
+        sr += re * re
+        data(idx) = recon
+        i += 1; idx += step
+      }
+      count += m
+      levelCnt(curLevel - 1) += m
+      levelAbs(curLevel - 1) = absL
+      sumAbs = sa; sumSq = sq; sumSqRecon = sr
     }
   }
 
   // ---------------------------------------------------------------------
   // Traversal
 
-  /** Drives all levels and passes, writing each point's reconstruction
-    * (returned by the sink) back into `grid.data`.
+  /** Row-major walk over the lines of a start/step lattice: one line per
+    * combination of the coordinates of every dimension but `inner`
+    * (ascending dimension order, the last fastest). A line's points run
+    * along `inner` from its start coordinate.
     */
-  def traverse(grid: GridData, plan: InterpPlan, sink: Sink): Unit = {
-    val dims = grid.dims
-    val nd = dims.length
-    val active = plan.activeDims
-    var level = plan.maxLevel
-    while (level >= 1) {
-      val s = 1 << (level - 1)
-      val cfg = plan.levelConfigs(level - 1)
-      sink.startLevel(level, plan.levelEbs(level - 1))
-      cfg.paradigm match {
-        case Paradigm.OneD(order) =>
-          val useSameLevel = cfg.sameLevel && cfg.spline.isCubic
-          var j = 0
-          while (j < order.length) {
-            val dim = order(j)
-            if (s < dims(dim)) { // pass has points only if stride fits
-              val starts = new Array[Int](nd)
-              val steps = new Array[Int](nd)
-              var k = 0
-              while (k < nd) {
-                if (k == plan.frozenDim) { starts(k) = 0; steps(k) = 1 }
-                else if (k == dim) { starts(k) = s; steps(k) = 2 * s }
-                else {
-                  val pos = order.indexOf(k)
-                  if (pos >= 0 && pos < j) { starts(k) = 0; steps(k) = s }      // earlier dim: done at stride s
-                  else { starts(k) = 0; steps(k) = 2 * s }                       // later dim: still at 2s
-                }
-                k += 1
-              }
-              val loopOrder = buildLoopOrder(nd, dim, plan.fvfi)
-              if (useSameLevel) {
-                // Step 1: positions ≡ s (mod 4s) — inter-level 4-point stencil.
-                starts(dim) = s; steps(dim) = 4 * s
-                run1DPass(grid, plan, dim, s, starts, steps, loopOrder, cfg.spline, sameLevelStep = false, sink)
-                // Step 2: positions ≡ 3s (mod 4s) — same-level 6-point stencil.
-                if (3 * s < dims(dim)) {
-                  starts(dim) = 3 * s; steps(dim) = 4 * s
-                  run1DPass(grid, plan, dim, s, starts, steps, loopOrder, cfg.spline, sameLevelStep = true, sink)
-                }
-              } else {
-                run1DPass(grid, plan, dim, s, starts, steps, loopOrder, cfg.spline, sameLevelStep = false, sink)
-              }
-            }
-            j += 1
-          }
-        case Paradigm.MultiDim =>
-          runMultiDim(grid, plan, s, cfg.spline, sink)
+  private final class Lines(dims: Array[Int], strides: Array[Int], starts: Array[Int],
+                            steps: Array[Int], inner: Int) {
+    val coords: Array[Int] = starts.clone()
+    /** Points per line. */
+    val length: Int =
+      if (starts(inner) < dims(inner)) (dims(inner) - 1 - starts(inner)) / steps(inner) + 1 else 0
+    /** Flat-index distance between consecutive points of a line. */
+    val idxStep: Int = steps(inner) * strides(inner)
+    /** Flat index of the current line's first point. */
+    var base: Int = 0
+    /** False once every line has been visited (or the lattice is empty). */
+    var valid: Boolean = true
+    locally {
+      var k = 0
+      while (k < dims.length) {
+        if (starts(k) >= dims(k)) valid = false
+        base += starts(k) * strides(k)
+        k += 1
       }
-      level -= 1
     }
-  }
 
-  /** Loop nesting order, outermost first. FVFI puts the fastest-varying
-    * (last) dimension innermost; the QoZ order puts the interpolation
-    * dimension innermost (Fig. 5).
-    */
-  private def buildLoopOrder(nd: Int, interpDim: Int, fvfi: Boolean): Array[Int] =
-    if (fvfi) Array.range(0, nd)
-    else Array.range(0, nd).filterNot(_ == interpDim) :+ interpDim
-
-  /** Generic odometer over a start/step lattice. Calls f(flatIdx, coords);
-    * `coords` is shared and must not be retained.
-    */
-  private def odometer(dims: Array[Int], strides: Array[Int],
-                       starts: Array[Int], steps: Array[Int], loopOrder: Array[Int],
-                       coordsOut: Array[Int])(f: (Int, Array[Int]) => Unit): Unit = {
-    val nd = dims.length
-    var k = 0
-    var idx = 0
-    val coords = if (coordsOut != null) coordsOut else new Array[Int](nd)
-    while (k < nd) {
-      if (starts(k) >= dims(k)) return // empty lattice
-      coords(k) = starts(k)
-      idx += starts(k) * strides(k)
-      k += 1
-    }
-    var done = false
-    while (!done) {
-      f(idx, coords)
-      var li = nd - 1
-      var carried = true
-      while (carried) {
-        val d = loopOrder(li)
-        coords(d) += steps(d)
-        idx += steps(d) * strides(d)
-        if (coords(d) < dims(d)) carried = false
-        else {
-          idx -= (coords(d) - starts(d)) * strides(d)
-          coords(d) = starts(d)
-          li -= 1
-          if (li < 0) { carried = false; done = true }
+    def next(): Unit = {
+      var k = dims.length - 1
+      while (k >= 0) {
+        if (k != inner) {
+          coords(k) += steps(k)
+          base += steps(k) * strides(k)
+          if (coords(k) < dims(k)) return
+          base -= (coords(k) - starts(k)) * strides(k)
+          coords(k) = starts(k)
         }
+        k -= 1
       }
+      valid = false
     }
   }
 
-  /** One 1D-style interpolation pass along `dim` at stride `s`. */
-  private def run1DPass(grid: GridData, plan: InterpPlan, dim: Int, s: Int,
-                        starts: Array[Int], steps: Array[Int], loopOrder: Array[Int],
-                        spline: Spline.Kind, sameLevelStep: Boolean, sink: Sink): Unit = {
-    val data = grid.data
-    val n = grid.dims(dim)
-    val st = grid.strides(dim)
-    val block = new BlockLookup(plan, grid.dims)
-    odometer(grid.dims, grid.strides, starts, steps, loopOrder, null) { (idx, coords) =>
-      val kind = block.splineAt(coords, spline)
-      val pred = predictAlong(data, idx, coords(dim), n, st, s, kind, sameLevelStep)
-      data(idx) = sink.handle(idx, pred)
-    }
-  }
+  // Prediction stencils along one dimension (see `stencilAt`).
+  private final val Copy = 0
+  private final val Extrapolate = 1
+  private final val Linear = 2
+  private final val NotAKnot = 3
+  private final val Natural = 4
+  private final val SameLevelNotAKnot = 5
+  private final val SameLevelNatural = 6
 
-  /** Multi-dimensional passes: points with 1 odd coordinate first, then 2,
-    * then 3, … (Section 5.3). Prediction is the 1/σ²-weighted combination
-    * of the available 1-D interpolants (Eq. 9 with Eq. 12 weights).
-    */
-  private def runMultiDim(grid: GridData, plan: InterpPlan, s: Int,
-                          spline: Spline.Kind, sink: Sink): Unit = {
-    val dims = grid.dims
-    val strides = grid.strides
-    val nd = dims.length
-    val data = grid.data
-    val active = plan.activeDims
-    val block = new BlockLookup(plan, dims)
-    val starts = new Array[Int](nd)
-    val steps = Array.tabulate(nd)(k => if (k == plan.frozenDim) 1 else s)
-    val loopOrder = Array.range(0, nd)
-    var targetOdd = 1
-    while (targetOdd <= active.length) {
-      odometer(dims, strides, starts, steps, loopOrder, null) { (idx, coords) =>
-        var oddCount = 0
-        var a = 0
-        while (a < active.length) {
-          if (((coords(active(a)) / s) & 1) == 1) oddCount += 1
-          a += 1
-        }
-        if (oddCount == targetOdd) {
-          val kind = block.splineAt(coords, spline)
-          var wsum = 0.0
-          var psum = 0.0
-          a = 0
-          while (a < active.length) {
-            val k = active(a)
-            if (((coords(k) / s) & 1) == 1) {
-              val w = plan.dimWeights(k)
-              psum += w * predictAlong(data, idx, coords(k), dims(k), strides(k), s, kind, sameLevelStep = false)
-              wsum += w
-            }
-            a += 1
-          }
-          val pred = if (wsum > 0) psum / wsum else data(idx)
-          data(idx) = sink.handle(idx, pred)
-        }
-      }
-      targetOdd += 1
-    }
-  }
-
-  /** Resolves the effective spline kind for a point, honouring the
-    * block-wise override (Section 6.6).
-    */
-  private final class BlockLookup(plan: InterpPlan, dims: Array[Int]) {
-    private val enabled = plan.blockSize > 0 && plan.blockSplines.nonEmpty
-    private val bs = math.max(1, plan.blockSize)
-    private val bDims = dims.map(d => (d + bs - 1) / bs)
-    private val bStrides = {
-      val a = new Array[Int](dims.length)
-      if (dims.nonEmpty) {
-        a(dims.length - 1) = 1
-        var i = dims.length - 2
-        while (i >= 0) { a(i) = a(i + 1) * bDims(i + 1); i -= 1 }
-      }
-      a
-    }
-    def splineAt(coords: Array[Int], default: Spline.Kind): Spline.Kind =
-      if (!enabled) default
-      else {
-        var bid = 0
-        var k = 0
-        while (k < coords.length) { bid += (coords(k) / bs) * bStrides(k); k += 1 }
-        Spline.Kind.all(plan.blockSplines(bid))
-      }
-  }
-
-  /** 1-D spline prediction for position p (stride s) along one dimension,
+  /** The stencil for position p (stride s) along a dimension of extent n,
     * with boundary fallbacks: full stencil → linear → extrapolate → copy.
     */
-  private def predictAlong(data: Array[Double], idx: Int, p: Int, n: Int, st: Int,
-                           s: Int, kind: Spline.Kind, sameLevelStep: Boolean): Double = {
-    val off = s * st
-    val hasP1 = p + s < n
-    if (!hasP1) {
-      if (p - 3 * s >= 0) Spline.extrapolate(data(idx - 3 * off), data(idx - off))
-      else data(idx - off)
-    } else if (!kind.isCubic) {
-      Spline.linear(data(idx - off), data(idx + off))
-    } else if (sameLevelStep) {
+  private def stencilAt(p: Int, n: Int, s: Int, kind: Spline.Kind, sameLevelStep: Boolean): Int =
+    if (p + s >= n) { if (p - 3 * s >= 0) Extrapolate else Copy }
+    else if (!kind.isCubic) Linear
+    else if (sameLevelStep) {
       // p ≡ 3s (mod 4s): left neighbors at −s, −2s, −3s always exist.
-      val hasP3 = p + 3 * s < n
-      val hasP2 = p + 2 * s < n
-      if (kind == Spline.Kind.Natural && hasP3)
-        Spline.sameLevelNatural(data(idx - 3 * off), data(idx - 2 * off), data(idx - off),
-          data(idx + off), data(idx + 2 * off), data(idx + 3 * off))
-      else if (hasP2)
-        Spline.sameLevelNotAKnot(data(idx - 2 * off), data(idx - off),
-          data(idx + off), data(idx + 2 * off))
-      else
-        Spline.linear(data(idx - off), data(idx + off))
-    } else {
-      val hasM3 = p - 3 * s >= 0
-      val hasP3 = p + 3 * s < n
-      if (hasM3 && hasP3) {
-        if (kind == Spline.Kind.Natural)
-          Spline.natural(data(idx - 3 * off), data(idx - off), data(idx + off), data(idx + 3 * off))
-        else
-          Spline.notAKnot(data(idx - 3 * off), data(idx - off), data(idx + off), data(idx + 3 * off))
-      } else {
-        Spline.linear(data(idx - off), data(idx + off))
+      if (kind == Spline.Kind.Natural && p + 3 * s < n) SameLevelNatural
+      else if (p + 2 * s < n) SameLevelNotAKnot
+      else Linear
+    } else if (p - 3 * s >= 0 && p + 3 * s < n) {
+      if (kind == Spline.Kind.Natural) Natural else NotAKnot
+    } else Linear
+
+  /** Drives all levels and passes; subclasses consume each line's
+    * predictions and write the reconstructed values into `data`.
+    */
+  private abstract class Traversal(grid: GridData, plan: InterpPlan) {
+    protected final val data: Array[Double] = grid.data
+    private val dims = grid.dims
+    private val strides = grid.strides
+    private val nd = dims.length
+    private val buf = new Array[Double](dims.max)
+    // Block-wise spline override (Section 6.6): 0 = none.
+    private val bs = if (plan.blockSize > 0 && plan.blockSplines.nonEmpty) plan.blockSize else 0
+    private val bStrides =
+      if (bs == 0) Array.emptyIntArray
+      else {
+        val a = new Array[Int](nd)
+        a(nd - 1) = 1
+        var k = nd - 2
+        while (k >= 0) { a(k) = a(k + 1) * ((dims(k + 1) + bs - 1) / bs); k -= 1 }
+        a
+      }
+
+    /** Called before each level's passes begin. */
+    protected def startLevel(level: Int, eb: Double): Unit
+
+    /** Consumes the predictions `pred(0 until m)` of the points
+      * idx0 + i·step, in traversal order.
+      */
+    protected def line(pred: Array[Double], m: Int, idx0: Int, step: Int): Unit
+
+    final def run(): Unit = {
+      var level = plan.maxLevel
+      while (level >= 1) {
+        val s = 1 << (level - 1)
+        val cfg = plan.levelConfigs(level - 1)
+        startLevel(level, plan.levelEbs(level - 1))
+        cfg.paradigm match {
+          case Paradigm.OneD(order) => oneDLevel(order, s, cfg)
+          case Paradigm.MultiDim    => multiDimLevel(s, cfg.spline)
+        }
+        level -= 1
+      }
+    }
+
+    private def oneDLevel(order: Array[Int], s: Int, cfg: LevelConfig): Unit = {
+      val useSameLevel = cfg.sameLevel && cfg.spline.isCubic
+      var j = 0
+      while (j < order.length) {
+        val dim = order(j)
+        if (s < dims(dim)) { // pass has points only if stride fits
+          val starts = new Array[Int](nd)
+          val steps = new Array[Int](nd)
+          var k = 0
+          while (k < nd) {
+            if (k == plan.frozenDim) steps(k) = 1
+            else if (k == dim) { starts(k) = s; steps(k) = 2 * s }
+            else {
+              val pos = order.indexOf(k)
+              steps(k) = if (pos >= 0 && pos < j) s else 2 * s // earlier dim: done at stride s; later: still 2s
+            }
+            k += 1
+          }
+          if (useSameLevel) {
+            // Step 1: positions ≡ s (mod 4s) — inter-level 4-point stencil.
+            steps(dim) = 4 * s
+            oneDPass(dim, s, starts, steps, cfg.spline, sameLevelStep = false)
+            // Step 2: positions ≡ 3s (mod 4s) — same-level 6-point stencil.
+            if (3 * s < dims(dim)) {
+              starts(dim) = 3 * s
+              oneDPass(dim, s, starts, steps, cfg.spline, sameLevelStep = true)
+            }
+          } else {
+            oneDPass(dim, s, starts, steps, cfg.spline, sameLevelStep = false)
+          }
+        }
+        j += 1
+      }
+    }
+
+    /** One 1D-style pass along `dim` at stride `s`. FVFI walks lines along
+      * the fastest-varying (last) dimension; the QoZ order walks them along
+      * the interpolation dimension (Fig. 5).
+      */
+    private def oneDPass(dim: Int, s: Int, starts: Array[Int], steps: Array[Int],
+                         spline: Spline.Kind, sameLevelStep: Boolean): Unit = {
+      val inner = if (plan.fvfi) nd - 1 else dim
+      val lines = new Lines(dims, strides, starts, steps, inner)
+      val m = lines.length
+      val alongLine = inner == dim
+      while (lines.valid) {
+        // -0.0 + 1.0·p == p for every p, so the 1-D prediction is stored exactly.
+        java.util.Arrays.fill(buf, 0, m, -0.0)
+        val p0 = if (alongLine) starts(dim) else lines.coords(dim)
+        val pstep = if (alongLine) steps(dim) else 0
+        var a = 0
+        while (a < m) {
+          val b = segmentEnd(a, m, starts(inner), steps(inner))
+          val kind = segmentSpline(lines.coords, inner, starts(inner) + a * steps(inner), spline)
+          addAlong(lines.base, lines.idxStep, a, b, p0, pstep, dims(dim), s, s * strides(dim),
+            kind, sameLevelStep, 1.0)
+          a = b
+        }
+        line(buf, m, lines.base, lines.idxStep)
+        lines.next()
+      }
+    }
+
+    /** Multi-dimensional passes: points with 1 odd coordinate first, then 2,
+      * then 3, … (Section 5.3), each class in row-major order. Prediction is
+      * the 1/σ²-weighted combination of the available 1-D interpolants (Eq. 9
+      * with Eq. 12 weights), summed in ascending dimension order. Lines run
+      * along the last dimension; a line's outer odd count decides whether
+      * its even or its odd positions belong to the current class.
+      */
+    private def multiDimLevel(s: Int, spline: Spline.Kind): Unit = {
+      val active = plan.activeDims
+      val inner = nd - 1
+      val innerActive = inner != plan.frozenDim
+      val steps = Array.tabulate(nd)(k => if (k == plan.frozenDim) 1 else s)
+      val odd = new Array[Boolean](nd)
+      var target = 1
+      while (target <= active.length) {
+        val lines = new Lines(dims, strides, new Array[Int](nd), steps, inner)
+        while (lines.valid) {
+          var outerOdd = 0
+          var a = 0
+          while (a < active.length) {
+            val k = active(a)
+            odd(k) = k != inner && ((lines.coords(k) / s) & 1) == 1
+            if (odd(k)) outerOdd += 1
+            a += 1
+          }
+          // Inner positions of the current class: all (frozen inner), the
+          // even multiples of s, or the odd ones.
+          val q0 =
+            if (!innerActive) { if (outerOdd == target) 0 else -1 }
+            else if (outerOdd == target) 0
+            else if (outerOdd == target - 1) s
+            else -1
+          if (q0 >= 0 && q0 < dims(inner)) {
+            val qstep = if (innerActive) 2 * s else 1
+            if (innerActive) odd(inner) = q0 == s
+            val m = (dims(inner) - 1 - q0) / qstep + 1
+            val idx0 = lines.base + q0 * strides(inner)
+            val idxStep = qstep * strides(inner)
+            var wsum = 0.0
+            a = 0
+            while (a < active.length) { val k = active(a); if (odd(k)) wsum += plan.dimWeights(k); a += 1 }
+            java.util.Arrays.fill(buf, 0, m, 0.0)
+            var lo = 0
+            while (lo < m) {
+              val hi = segmentEnd(lo, m, q0, qstep)
+              val kind = segmentSpline(lines.coords, inner, q0 + lo * qstep, spline)
+              a = 0
+              while (a < active.length) {
+                val k = active(a)
+                if (odd(k)) {
+                  if (k == inner)
+                    addAlong(idx0, idxStep, lo, hi, q0, qstep, dims(k), s, s * strides(k), kind, false, plan.dimWeights(k))
+                  else
+                    addAlong(idx0, idxStep, lo, hi, lines.coords(k), 0, dims(k), s, s * strides(k), kind, false, plan.dimWeights(k))
+                }
+                a += 1
+              }
+              lo = hi
+            }
+            var i = 0
+            while (i < m) {
+              buf(i) = if (wsum > 0) buf(i) / wsum else data(idx0 + i * idxStep)
+              i += 1
+            }
+            line(buf, m, idx0, idxStep)
+          }
+          lines.next()
+        }
+        target += 1
+      }
+    }
+
+    /** End (exclusive) of the block-override segment that starts at point
+      * `a` of a line whose inner coordinate is q0 + i·qstep.
+      */
+    private def segmentEnd(a: Int, m: Int, q0: Int, qstep: Int): Int =
+      if (bs == 0) m
+      else {
+        val blockEnd = ((q0 + a * qstep) / bs + 1) * bs
+        math.min(m, (blockEnd - q0 + qstep - 1) / qstep)
+      }
+
+    /** Spline of the block holding the line point at inner coordinate q. */
+    private def segmentSpline(coords: Array[Int], inner: Int, q: Int, default: Spline.Kind): Spline.Kind =
+      if (bs == 0) default
+      else {
+        var bid = (q / bs) * bStrides(inner)
+        var k = 0
+        while (k < nd) { if (k != inner) bid += (coords(k) / bs) * bStrides(k); k += 1 }
+        Spline.Kind.all(plan.blockSplines(bid))
+      }
+
+    /** Adds w · (1-D prediction along one dimension) to buf(a until b), for
+      * the points idx0 + i·idxStep whose coordinate along that dimension is
+      * p0 + i·pstep (pstep = 0 when the line crosses the dimension). Points
+      * without the full stencil are peeled off one at a time; the rest run
+      * through one full-stencil loop.
+      */
+    private def addAlong(idx0: Int, idxStep: Int, a: Int, b: Int, p0: Int, pstep: Int, n: Int, s: Int,
+                         off: Int, kind: Spline.Kind, sameLevelStep: Boolean, w: Double): Unit =
+      if (pstep == 0) stencilRun(stencilAt(p0, n, s, kind, sameLevelStep), idx0, idxStep, a, b, off, w)
+      else {
+        val full =
+          if (!kind.isCubic) Linear
+          else if (!sameLevelStep) { if (kind == Spline.Kind.Natural) Natural else NotAKnot }
+          else if (kind == Spline.Kind.Natural) SameLevelNatural
+          else SameLevelNotAKnot
+        // Reach of the full stencil to the left and right, in strides (the
+        // left neighbours of a linear or same-level point always exist).
+        val left = if (full == Natural || full == NotAKnot) 3 else 0
+        val right = if (full == Linear) 1 else if (full == SameLevelNotAKnot) 2 else 3
+        var lo = a
+        while (lo < b && p0 + lo * pstep < left * s) {
+          stencilRun(stencilAt(p0 + lo * pstep, n, s, kind, sameLevelStep), idx0, idxStep, lo, lo + 1, off, w)
+          lo += 1
+        }
+        var hi = b
+        while (hi > lo && p0 + (hi - 1) * pstep + right * s >= n) hi -= 1
+        stencilRun(full, idx0, idxStep, lo, hi, off, w)
+        var i = hi
+        while (i < b) {
+          stencilRun(stencilAt(p0 + i * pstep, n, s, kind, sameLevelStep), idx0, idxStep, i, i + 1, off, w)
+          i += 1
+        }
+      }
+
+    /** buf(i) += w · stencil prediction at idx0 + i·idxStep for i in [a, b);
+      * `off` is the flat-index distance of one stride s.
+      */
+    private def stencilRun(stencil: Int, idx0: Int, idxStep: Int, a: Int, b: Int, off: Int, w: Double): Unit = {
+      val d = data
+      var i = a
+      var idx = idx0 + a * idxStep
+      (stencil: @switch) match {
+        case Copy =>
+          while (i < b) { buf(i) += w * d(idx - off); i += 1; idx += idxStep }
+        case Extrapolate =>
+          while (i < b) { buf(i) += w * Spline.extrapolate(d(idx - 3 * off), d(idx - off)); i += 1; idx += idxStep }
+        case Linear =>
+          while (i < b) { buf(i) += w * Spline.linear(d(idx - off), d(idx + off)); i += 1; idx += idxStep }
+        case NotAKnot =>
+          while (i < b) {
+            buf(i) += w * Spline.notAKnot(d(idx - 3 * off), d(idx - off), d(idx + off), d(idx + 3 * off))
+            i += 1; idx += idxStep
+          }
+        case Natural =>
+          while (i < b) {
+            buf(i) += w * Spline.natural(d(idx - 3 * off), d(idx - off), d(idx + off), d(idx + 3 * off))
+            i += 1; idx += idxStep
+          }
+        case SameLevelNotAKnot =>
+          while (i < b) {
+            buf(i) += w * Spline.sameLevelNotAKnot(d(idx - 2 * off), d(idx - off), d(idx + off), d(idx + 2 * off))
+            i += 1; idx += idxStep
+          }
+        case SameLevelNatural =>
+          while (i < b) {
+            buf(i) += w * Spline.sameLevelNatural(d(idx - 3 * off), d(idx - 2 * off), d(idx - off),
+              d(idx + off), d(idx + 2 * off), d(idx + 3 * off))
+            i += 1; idx += idxStep
+          }
       }
     }
   }

@@ -182,6 +182,18 @@ class LevelInterpSpec extends AnyFunSuite {
     assert(t.totalBits > 0)
   }
 
+  test("a trial without encoding has the same error statistics and no size estimate") {
+    val g = TestGrids.smooth3D()
+    val plan = InterpPlan.uniform(g.dims, 32,
+      LevelConfig(Spline.Kind.Natural, Paradigm.MultiDim, sameLevel = false), 1e-3)
+    val full = LevelInterp.trial(g, plan)
+    val stats = LevelInterp.trial(g, plan, encode = false)
+    assert(stats.estPayloadBits.isNaN)
+    assert(stats.copy(estPayloadBits = full.estPayloadBits, perLevelAbs = null, perLevelCnt = null) ==
+      full.copy(perLevelAbs = null, perLevelCnt = null))
+    assert(stats.perLevelAbs.toSeq == full.perLevelAbs.toSeq && stats.perLevelCnt.toSeq == full.perLevelCnt.toSeq)
+  }
+
   test("cubic beats linear on smooth data (prediction accuracy)") {
     val g = TestGrids.smooth3D()
     val lin = LevelInterp.trial(g, InterpPlan.uniform(g.dims, 32,
