@@ -84,52 +84,161 @@ object Huffman {
     w.toBytes
   }
 
-  /** Decodes a blob produced by [[encode]]. */
+  /** Bits resolved by one lookup of the decode table; longer codes finish
+    * with a canonical search over the remaining bits.
+    */
+  private final val TableBits = 11
+
+  /** Most codes one lookup of the multi-symbol table decodes. */
+  private final val PerLookup = 4
+
+  /** Decodes a blob produced by [[encode]]. Raises IllegalArgumentException
+    * on an invalid code table, a bit pattern that is no code, or a payload
+    * that ends before `n` symbols are decoded.
+    */
   def decode(bytes: Array[Byte]): Array[Int] = {
     val r = new ByteReader(bytes)
     val n = r.readVarInt().toInt
     if (n == 0) return Array.emptyIntArray
     val tableSize = r.readVarInt().toInt
-    val entries = Array.fill(tableSize) { val s = r.readVarInt(); val len = r.readByte(); (s, len) }
+    require(tableSize >= 1, "corrupt huffman table")
+    val syms = new Array[Int](tableSize)
+    val lens = new Array[Int](tableSize)
+    var t = 0
+    while (t < tableSize) {
+      val sym = r.readVarInt()
+      require(sym <= Int.MaxValue, "corrupt huffman table")
+      syms(t) = sym.toInt; lens(t) = r.readByte()
+      t += 1
+    }
     val payload = r.readBlob()
 
-    if (tableSize == 1) return Array.fill(n)(entries(0)._1.toInt)
+    if (tableSize == 1) return Array.fill(n)(syms(0))
+    // A valid stream spends at least one bit per symbol.
+    require(n.toLong <= payload.length * 8L, "truncated huffman stream")
 
-    // Canonical decode: group symbols by code length, then walk bits
-    // accumulating the numeric code and matching against per-length ranges.
-    val byLen = entries.groupBy(_._2)
-    val maxLen = entries.map(_._2).max
-    val firstCode = new Array[Long](maxLen + 2)
-    val symAt = new Array[Array[Long]](maxLen + 1)
+    // Canonical code assignment: symbols sorted by (length, symbol) take
+    // consecutive codes; count(l) and firstCode(l) describe length l. A
+    // Huffman code over fewer than 2^31 symbols is at most 45 bits deep.
+    val maxLen = lens.max
+    require(lens.min >= 1 && maxLen <= 56, "corrupt huffman table")
+    val order = (0 until tableSize).sortBy(i => (lens(i), syms(i))).toArray
+    val sorted = order.map(syms)
+    val count = new Array[Int](maxLen + 1)
+    lens.foreach(l => count(l) += 1)
+    val firstCode = new Array[Long](maxLen + 1)
+    val firstIndex = new Array[Int](maxLen + 1)
+    // limit(l): end of the length-l codes left-justified to maxLen bits;
+    // canonical codes make these ascend with l.
+    val limit = new Array[Long](maxLen + 1)
     var code = 0L
+    var idx = 0
     var len = 1
     while (len <= maxLen) {
       firstCode(len) = code
-      val group = byLen.getOrElse(len, Array.empty).map(_._1).sorted
-      symAt(len) = group
-      code = (code + group.length) << 1
+      firstIndex(len) = idx
+      code += count(len)
+      idx += count(len)
+      require(code <= (1L << len), "corrupt huffman table") // over-subscribed
+      limit(len) = code << (maxLen - len)
+      code <<= 1
       len += 1
     }
-    val br = new BitReader(payload)
+
+    // The payload is LSB-first with codes written MSB-first, so the next
+    // k bits, read as an integer, hold a code bit-reversed. Each table
+    // entry is (index in `sorted`) << 6 | length; 0 marks a code longer
+    // than k bits, -1 a pattern that starts no code.
+    val k = math.min(TableBits, maxLen)
+    val mask = (1L << k) - 1
+    val table = Array.fill(1 << k)(-1)
+    var si = 0
+    while (si < tableSize) {
+      val l = lens(order(si))
+      val c = firstCode(l) + (si - firstIndex(l))
+      if (l <= k) {
+        var j = reverse(c, l).toInt
+        while (j < table.length) { table(j) = (si << 6) | l; j += 1 << l }
+      } else table(reverse(c >>> (l - k), k).toInt) = 0
+      si += 1
+    }
+
+    // Short codes often come several to k bits: multi(j) decodes up to
+    // PerLookup of them at once as (count << 8) | total length, with the
+    // symbols in multiSyms; count 0 sends pattern j to `table`.
+    val multi = new Array[Int](1 << k)
+    val multiSyms = new Array[Int]((1 << k) * PerLookup)
+    var j = 0
+    while (j < multi.length) {
+      var used = 0
+      var cnt = 0
+      var e = table(j)
+      // The pattern j >>> used has k − used known bits; a code fits if no longer.
+      while (cnt < PerLookup && e > 0 && (e & 63) <= k - used) {
+        multiSyms(j * PerLookup + cnt) = sorted(e >>> 6)
+        used += e & 63
+        cnt += 1
+        e = table(j >>> used)
+      }
+      multi(j) = (cnt << 8) | used
+      j += 1
+    }
+
     val out = new Array[Int](n)
+    val words = java.nio.ByteBuffer.wrap(payload).order(java.nio.ByteOrder.LITTLE_ENDIAN)
+    val fullMask = (1L << maxLen) - 1
+    var buf = 0L // unread bits, next bit lowest; past the payload's end, zeros
+    var nbits = 0 // payload bits in `buf`
+    var pos = 0 // next payload byte not yet in `buf`
     var i = 0
     while (i < n) {
-      var acc = 0L
-      var l = 0
-      var sym = -1L
-      while (sym < 0) {
-        acc = (acc << 1) | br.readBit()
-        l += 1
-        require(l <= maxLen, "corrupt huffman stream")
-        val group = symAt(l)
-        if (group != null && group.nonEmpty && acc - firstCode(l) < group.length && acc >= firstCode(l))
-          sym = group((acc - firstCode(l)).toInt)
-      }
-      out(i) = sym.toInt
-      i += 1
+      if (pos + 8 <= payload.length) {
+        // Tops `buf` up to 56+ bits. Bits above `nbits` are the payload's
+        // next bits too, so loading them again ORs in the same values.
+        buf |= words.getLong(pos) << nbits
+        val bytes = (63 - nbits) >>> 3
+        pos += bytes
+        nbits += bytes << 3
+      } else if (nbits < maxLen)
+        while (nbits <= 56 && pos < payload.length) {
+          buf |= (payload(pos) & 0xffL) << nbits
+          pos += 1; nbits += 8
+        }
+      val bits = (buf & mask).toInt
+      val info = multi(bits)
+      val l =
+        if (info > 0xff && i + PerLookup <= n) {
+          // Copies all PerLookup slots; those past `count` are rewritten later.
+          var t = 0
+          while (t < PerLookup) { out(i + t) = multiSyms(bits * PerLookup + t); t += 1 }
+          i += info >>> 8
+          info & 0xff
+        } else {
+          val e = table(bits)
+          if (e > 0) { out(i) = sorted(e >>> 6); i += 1; e & 63 }
+          else {
+            require(e == 0, "corrupt huffman stream")
+            // Longer than k bits: find the length by the left-justified
+            // limits, then the symbol by the offset within that length.
+            val v = reverse(buf & fullMask, maxLen)
+            var cl = k + 1
+            while (cl < maxLen && v >= limit(cl)) cl += 1
+            val off = (v >>> (maxLen - cl)) - firstCode(cl)
+            require(off >= 0 && off < count(cl), "corrupt huffman stream")
+            out(i) = sorted(firstIndex(cl) + off.toInt)
+            i += 1
+            cl
+          }
+        }
+      buf >>>= l
+      nbits -= l
+      if (nbits < 0) throw new IllegalArgumentException("truncated huffman stream")
     }
     out
   }
+
+  /** The low `len` bits of `v` in reverse order. */
+  private def reverse(v: Long, len: Int): Long = java.lang.Long.reverse(v) >>> (64 - len)
 
   /** Shannon entropy in bits/symbol of a symbol stream — used by the
     * auto-tuner to estimate encoded size without running full Huffman.

@@ -77,6 +77,51 @@ class HuffmanSpec extends AnyFunSuite {
     assert(bitsPerSym < h + 1.0, s"huffman $bitsPerSym should be within 1 bit of entropy $h")
   }
 
+  /** Re-emits an encoded blob with its code lengths and payload replaced. */
+  private def rewrite(enc: Array[Byte], lens: Array[Int] => Array[Int],
+                      payload: Array[Byte] => Array[Byte]): Array[Byte] = {
+    val r = new ByteReader(enc)
+    val n = r.readVarInt()
+    val size = r.readVarInt().toInt
+    val entries = Array.fill(size)((r.readVarInt(), r.readByte()))
+    val body = r.readBlob()
+    val w = new ByteWriter()
+    w.writeVarInt(n)
+    w.writeVarInt(size.toLong)
+    entries.map(_._1).zip(lens(entries.map(_._2))).foreach { case (sym, l) => w.writeVarInt(sym); w.writeByte(l) }
+    w.writeBlob(payload(body))
+    w.toBytes
+  }
+
+  test("codes longer than one table lookup round-trip") {
+    // Fibonacci frequencies give the deepest Huffman tree for their size.
+    val fib = Iterator.iterate((1, 1)) { case (a, b) => (b, a + b) }.map(_._1).take(22).toArray
+    val symbols = fib.zipWithIndex.flatMap { case (f, s) => Array.fill(f)(s * 3 + 1) }
+    val shuffled = new Random(8).shuffle(symbols.toSeq).toArray
+    roundTrip(shuffled)
+  }
+
+  test("a payload that ends early raises") {
+    val rnd = new Random(9)
+    val enc = Huffman.encode(Array.fill(5000)(100 + (rnd.nextGaussian() * 20).toInt))
+    val cut = rewrite(enc, identity, p => p.take(p.length / 2))
+    intercept[IllegalArgumentException](Huffman.decode(cut))
+    intercept[IllegalArgumentException](Huffman.decode(rewrite(enc, identity, _ => Array.emptyByteArray)))
+  }
+
+  test("an over-subscribed code table raises") {
+    val enc = Huffman.encode(Array(1, 2, 3, 1, 2, 3, 3))
+    intercept[IllegalArgumentException](Huffman.decode(rewrite(enc, _.map(_ => 1), identity)))
+    intercept[IllegalArgumentException](Huffman.decode(rewrite(enc, _.map(_ => 0), identity)))
+  }
+
+  test("a bit pattern that starts no code raises") {
+    // Lengths 1, 2, 3 assign 0, 10 and 110 and leave 111 unassigned.
+    val enc = Huffman.encode(Array(1, 1, 1, 1, 2, 2, 3))
+    val incomplete = rewrite(enc, _ => Array(1, 2, 3), p => Array.fill(p.length)(-1.toByte))
+    intercept[IllegalArgumentException](Huffman.decode(incomplete))
+  }
+
   test("randomized fuzz (seeded)") {
     val rnd = new Random(5)
     for (_ <- 0 until 10) {
