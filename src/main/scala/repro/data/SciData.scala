@@ -89,43 +89,92 @@ object SciData {
   // Value functions
 
   /** Value at integer coordinates (deterministic, fp32-exact). */
-  def valueAt(ref: FieldRef, c: Array[Int]): Double = {
-    val s = fieldSeed(ref)
-    val dims = ref.dims
-    val v = ref.dataset match {
-      case "RTM"      => rtm(s, c, dims)
-      case "SegSalt"  => segsalt(s, c, dims)
-      case "Miranda"  => miranda(s, c, dims)
-      case "SCALE"    => levelStack(s, c, dims, levelPhaseJump = 0.35, levelAmpRough = 0.6)
-      case "CESM"     => levelStack(s, c, dims, levelPhaseJump = 2.1, levelAmpRough = 1.0)
-      case "JHTDB"    => jhtdb(s, c, dims)
-      case "NSTX-GPI" => nstx(s, c, dims)
-      case "APS"      => aps(s, c, dims)
-    }
-    if (ref.isInteger) math.rint(v) else v.toFloat.toDouble
-  }
+  def valueAt(ref: FieldRef, c: Array[Int]): Double = box(ref, c, Array.fill(c.length)(1))(0)
 
   /** Materializes the whole field (driver-side; bench scale is ~1M pts). */
-  def generate(ref: FieldRef): GridData = GridData.tabulate(ref.dims)(c => valueAt(ref, c))
+  def generate(ref: FieldRef): GridData =
+    new GridData(ref.dims.clone(), box(ref, new Array[Int](ref.dims.length), ref.dims))
+
+  /** Values of the box [origin, origin + ext) of a field, row-major. The
+    * per-field (and per-level) constants and every term that depends on
+    * one axis only are computed once per box.
+    */
+  def box(ref: FieldRef, origin: Array[Int], ext: Array[Int]): Array[Double] = {
+    val nd = ref.dims.length
+    require(nd <= 3 && origin.length == nd && ext.length == nd, s"bad box for $ref")
+    val b = new Box(ref.dims, origin.padTo(3, 0), ext.padTo(3, 1))
+    val s = fieldSeed(ref)
+    val gen: Gen = ref.dataset match {
+      case "RTM"      => new Rtm(s, b)
+      case "SegSalt"  => new SegSalt(s, b)
+      case "Miranda"  => new Miranda(s, b)
+      case "SCALE"    => new LevelStack(s, b, levelPhaseJump = 0.35, levelAmpRough = 0.6)
+      case "CESM"     => new LevelStack(s, b, levelPhaseJump = 2.1, levelAmpRough = 1.0)
+      case "JHTDB"    => new Jhtdb(s, b)
+      case "NSTX-GPI" => new Nstx(s, b)
+      case "APS"      => new Aps(s, b)
+    }
+    val e = b.e
+    val out = new Array[Double](e(0) * e(1) * e(2))
+    var n = 0
+    var i0 = 0
+    while (i0 < e(0)) {
+      var i1 = 0
+      while (i1 < e(1)) {
+        var i2 = 0
+        while (i2 < e(2)) {
+          val v = gen.at(i0, i1, i2)
+          out(n) = if (ref.isInteger) math.rint(v) else v.toFloat.toDouble
+          n += 1; i2 += 1
+        }
+        i1 += 1
+      }
+      i0 += 1
+    }
+    out
+  }
+
+  /** A box of a field: origin `o` and extents `e`, padded to 3 dimensions. */
+  private final class Box(val dims: Array[Int], val o: Array[Int], val e: Array[Int]) {
+    /** The normalized coordinate c / dims(k) of every box position along axis k. */
+    def frac(k: Int): Array[Double] = Array.tabulate(e(k))(i => (o(k) + i).toDouble / dims(k))
+  }
+
+  /** f(mode, v) for every mode and every value `v` of an axis. */
+  private def perAxis(modes: Int, axis: Array[Double])(f: (Int, Double) => Double): Array[Array[Double]] =
+    Array.tabulate(modes, axis.length)((m, i) => f(m, axis(i)))
+
+  /** A field's value function over one box, with its constants
+    * precomputed; `at` takes box-relative positions (2-D fields ignore i2).
+    */
+  private abstract class Gen {
+    def at(i0: Int, i1: Int, i2: Int): Double
+  }
 
   /** RTM: a few Gaussian-enveloped spherical wavefronts over a smooth
     * background — very smooth, very high CR (paper Table 3).
     */
-  private def rtm(s: Long, c: Array[Int], dims: Array[Int]): Double = {
-    val x = c(0).toDouble / dims(0); val y = c(1).toDouble / dims(1); val z = c(2).toDouble / dims(2)
-    var v = 0.0
-    var w = 0
-    while (w < 4) {
-      val cx = u(s, 10 * w); val cy = u(s, 10 * w + 1); val cz = u(s, 10 * w + 2)
-      val r = math.sqrt((x - cx) * (x - cx) + (y - cy) * (y - cy) + (z - cz) * (z - cz))
-      val k = 14.0 + 8.0 * u(s, 10 * w + 3)
-      val sig = 0.15 + 0.1 * u(s, 10 * w + 4)
-      v += math.sin(k * r + 6.28 * u(s, 10 * w + 5)) * math.exp(-r * r / (sig * sig)) / (w + 1.0)
-      w += 1
+  private final class Rtm(s: Long, b: Box) extends Gen {
+    private val x = b.frac(0); private val y = b.frac(1); private val z = b.frac(2)
+    private val dx2 = perAxis(4, x) { (w, v) => val c = u(s, 10 * w); (v - c) * (v - c) }
+    private val dy2 = perAxis(4, y) { (w, v) => val c = u(s, 10 * w + 1); (v - c) * (v - c) }
+    private val dz2 = perAxis(4, z) { (w, v) => val c = u(s, 10 * w + 2); (v - c) * (v - c) }
+    private val k = Array.tabulate(4)(w => 14.0 + 8.0 * u(s, 10 * w + 3))
+    private val sig2 = Array.tabulate(4) { w => val sig = 0.15 + 0.1 * u(s, 10 * w + 4); sig * sig }
+    private val phase = Array.tabulate(4)(w => 6.28 * u(s, 10 * w + 5))
+    private val tail = new FineTail(s, 3e-3)
+    def at(i0: Int, i1: Int, i2: Int): Double = {
+      var v = 0.0
+      var w = 0
+      while (w < 4) {
+        val r = math.sqrt(dx2(w)(i0) + dy2(w)(i1) + dz2(w)(i2))
+        v += math.sin(k(w) * r + phase(w)) * math.exp(-r * r / sig2(w)) / (w + 1.0)
+        w += 1
+      }
+      // fine-scale numerical ripple (power-law tail down to the grid scale)
+      v += tail(x(i0), y(i1), z(i2))
+      v * 1e3 // seismic-amplitude scale
     }
-    // fine-scale numerical ripple (power-law tail down to the grid scale)
-    v += fineTail(s, x, y, z, 3e-3)
-    v * 1e3 // seismic-amplitude scale
   }
 
   /** Low-amplitude fine-scale tail: smooth value noise on a hashed
@@ -136,67 +185,100 @@ object SciData {
     * prediction partially possible (the noise is smooth inside a cell),
     * so predictor quality differentiates compressors at fine levels.
     */
-  private def fineTail(s: Long, x: Double, y: Double, z: Double, a0: Double): Double =
-    a0 * (valueNoise(s, 24.0 * x, 24.0 * y, 24.0 * z) +
-      0.5 * valueNoise(s + 31, 48.0 * x, 48.0 * y, 48.0 * z))
+  private final class FineTail(s: Long, a0: Double) {
+    private val coarse = new ValueNoise(s)
+    private val fine = new ValueNoise(s + 31)
+    def apply(x: Double, y: Double, z: Double): Double =
+      a0 * (coarse(24.0 * x, 24.0 * y, 24.0 * z) + 0.5 * fine(48.0 * x, 48.0 * y, 48.0 * z))
+  }
 
-  /** Trilinear-interpolated hash noise in [-1, 1] with smoothstep fade. */
-  private def valueNoise(s: Long, px: Double, py: Double, pz: Double): Double = {
-    val x0 = math.floor(px).toInt; val y0 = math.floor(py).toInt; val z0 = math.floor(pz).toInt
-    val fx = px - x0; val fy = py - y0; val fz = pz - z0
-    @inline def fade(t: Double) = t * t * (3 - 2 * t)
-    val wx = fade(fx); val wy = fade(fy); val wz = fade(fz)
-    @inline def h(i: Int, j: Int, k: Int): Double = {
+  /** Trilinear-interpolated hash noise in [-1, 1] with smoothstep fade.
+    * Keeps the corner hashes of the last cell it was asked about.
+    */
+  private final class ValueNoise(s: Long) {
+    private var x0 = Int.MinValue; private var y0 = 0; private var z0 = 0
+    private var h000 = 0.0; private var h100 = 0.0; private var h010 = 0.0; private var h110 = 0.0
+    private var h001 = 0.0; private var h101 = 0.0; private var h011 = 0.0; private var h111 = 0.0
+
+    private def h(i: Int, j: Int, k: Int): Double = {
       val m = mix(s ^ (i.toLong * 0x9E3779B1L) ^ (j.toLong * 0x85EBCA77L) ^ (k.toLong * 0xC2B2AE3DL))
       (m >>> 11).toDouble / (1L << 52).toDouble - 1.0
     }
-    val c00 = h(x0, y0, z0) + wx * (h(x0 + 1, y0, z0) - h(x0, y0, z0))
-    val c01 = h(x0, y0, z0 + 1) + wx * (h(x0 + 1, y0, z0 + 1) - h(x0, y0, z0 + 1))
-    val c10 = h(x0, y0 + 1, z0) + wx * (h(x0 + 1, y0 + 1, z0) - h(x0, y0 + 1, z0))
-    val c11 = h(x0, y0 + 1, z0 + 1) + wx * (h(x0 + 1, y0 + 1, z0 + 1) - h(x0, y0 + 1, z0 + 1))
-    val c0 = c00 + wy * (c10 - c00)
-    val c1 = c01 + wy * (c11 - c01)
-    c0 + wz * (c1 - c0)
+
+    private def fade(t: Double): Double = t * t * (3 - 2 * t)
+
+    def apply(px: Double, py: Double, pz: Double): Double = {
+      val xi = math.floor(px).toInt; val yi = math.floor(py).toInt; val zi = math.floor(pz).toInt
+      if (xi != x0 || yi != y0 || zi != z0) {
+        x0 = xi; y0 = yi; z0 = zi
+        h000 = h(xi, yi, zi); h100 = h(xi + 1, yi, zi); h010 = h(xi, yi + 1, zi); h110 = h(xi + 1, yi + 1, zi)
+        h001 = h(xi, yi, zi + 1); h101 = h(xi + 1, yi, zi + 1)
+        h011 = h(xi, yi + 1, zi + 1); h111 = h(xi + 1, yi + 1, zi + 1)
+      }
+      val wx = fade(px - xi); val wy = fade(py - yi); val wz = fade(pz - zi)
+      val c00 = h000 + wx * (h100 - h000)
+      val c01 = h001 + wx * (h101 - h001)
+      val c10 = h010 + wx * (h110 - h010)
+      val c11 = h011 + wx * (h111 - h011)
+      val c0 = c00 + wy * (c10 - c00)
+      val c1 = c01 + wy * (c11 - c01)
+      c0 + wz * (c1 - c0)
+    }
   }
 
   /** SEGSalt: depth-layered velocity model with undulating interfaces and
     * a high-velocity salt body — piecewise smooth.
     */
-  private def segsalt(s: Long, c: Array[Int], dims: Array[Int]): Double = {
-    val x = c(0).toDouble / dims(0); val y = c(1).toDouble / dims(1); val z = c(2).toDouble / dims(2)
-    val undulation = 0.06 * math.sin(4.1 * x + 6.28 * u(s, 1)) + 0.05 * math.cos(3.3 * y + 6.28 * u(s, 2))
-    // soft staircase: t − sin(2πt)/2π has flat treads with steep but
-    // finite-gradient risers (real velocity models are band-limited)
-    val t = (z + undulation) * 8.0
-    val layer = t - math.sin(6.283185307179586 * t) / 6.283185307179586
-    var v = 1500.0 + 260.0 * layer + 120.0 * z
-    // salt body: smooth-edged ellipsoid of near-constant high velocity
-    val dx = (x - 0.45) / 0.28; val dy = (y - 0.55) / 0.3; val dz = (z - 0.5) / 0.22
-    val q = dx * dx + dy * dy + dz * dz
-    val salt = 1.0 / (1.0 + math.exp((q - 1.0) * 25.0))
-    v = v * (1 - salt) + (4450.0 + 30.0 * z) * salt
-    v + 1e3 * fineTail(s, x, y, z, 2e-3)
+  private final class SegSalt(s: Long, b: Box) extends Gen {
+    private val x = b.frac(0); private val y = b.frac(1); private val z = b.frac(2)
+    private val waveX = x.map(v => 0.06 * math.sin(4.1 * v + 6.28 * u(s, 1)))
+    private val waveY = y.map(v => 0.05 * math.cos(3.3 * v + 6.28 * u(s, 2)))
+    private val dx2 = x.map { v => val d = (v - 0.45) / 0.28; d * d }
+    private val dy2 = y.map { v => val d = (v - 0.55) / 0.3; d * d }
+    private val dz2 = z.map { v => val d = (v - 0.5) / 0.22; d * d }
+    private val tail = new FineTail(s, 2e-3)
+    def at(i0: Int, i1: Int, i2: Int): Double = {
+      val z = this.z(i2)
+      val undulation = waveX(i0) + waveY(i1)
+      // soft staircase: t − sin(2πt)/2π has flat treads with steep but
+      // finite-gradient risers (real velocity models are band-limited)
+      val t = (z + undulation) * 8.0
+      val layer = t - math.sin(6.283185307179586 * t) / 6.283185307179586
+      var v = 1500.0 + 260.0 * layer + 120.0 * z
+      // salt body: smooth-edged ellipsoid of near-constant high velocity
+      val q = dx2(i0) + dy2(i1) + dz2(i2)
+      val salt = 1.0 / (1.0 + math.exp((q - 1.0) * 25.0))
+      v = v * (1 - salt) + (4450.0 + 30.0 * z) * salt
+      v + 1e3 * tail(x(i0), y(i1), z)
+    }
   }
 
   /** Miranda: smooth multi-mode mixing field with a soft interface.
     * Gaussian mode envelopes break the separable-sum structure (real
     * turbulence is not low-Tucker-rank).
     */
-  private def miranda(s: Long, c: Array[Int], dims: Array[Int]): Double = {
-    val x = c(0).toDouble / dims(0); val y = c(1).toDouble / dims(1); val z = c(2).toDouble / dims(2)
-    var v = 0.0
-    var m = 0
-    while (m < 8) {
-      val kx = 0.8 + 1.8 * u(s, 9 * m); val ky = 0.8 + 1.8 * u(s, 9 * m + 1)
-      val kz = 0.8 + 1.8 * u(s, 9 * m + 2)
-      val cx = u(s, 9 * m + 4); val cy = u(s, 9 * m + 5); val cz = u(s, 9 * m + 6)
-      val d2 = (x - cx) * (x - cx) + (y - cy) * (y - cy) + (z - cz) * (z - cz)
-      val env = math.exp(-d2 / 0.35)
-      v += env * math.sin(6.28 * (kx * x + ky * y + kz * z) + 6.28 * u(s, 9 * m + 3)) / (m + 1.5)
-      m += 1
+  private final class Miranda(s: Long, b: Box) extends Gen {
+    private val x = b.frac(0); private val y = b.frac(1); private val z = b.frac(2)
+    private val kx = perAxis(8, x)((m, v) => (0.8 + 1.8 * u(s, 9 * m)) * v)
+    private val ky = perAxis(8, y)((m, v) => (0.8 + 1.8 * u(s, 9 * m + 1)) * v)
+    private val kz = perAxis(8, z)((m, v) => (0.8 + 1.8 * u(s, 9 * m + 2)) * v)
+    private val phase = Array.tabulate(8)(m => 6.28 * u(s, 9 * m + 3))
+    private val dx2 = perAxis(8, x) { (m, v) => val c = u(s, 9 * m + 4); (v - c) * (v - c) }
+    private val dy2 = perAxis(8, y) { (m, v) => val c = u(s, 9 * m + 5); (v - c) * (v - c) }
+    private val dz2 = perAxis(8, z) { (m, v) => val c = u(s, 9 * m + 6); (v - c) * (v - c) }
+    private val tail = new FineTail(s, 2.5e-3)
+    def at(i0: Int, i1: Int, i2: Int): Double = {
+      var v = 0.0
+      var m = 0
+      while (m < 8) {
+        val env = math.exp(-(dx2(m)(i0) + dy2(m)(i1) + dz2(m)(i2)) / 0.35)
+        v += env * math.sin(6.28 * (kx(m)(i0) + ky(m)(i1) + kz(m)(i2)) + phase(m)) / (m + 1.5)
+        m += 1
+      }
+      // density interface (tanh front) + fine-scale mixing tail
+      val y = this.y(i1)
+      1.8 + 0.9 * math.tanh(6.0 * (y - 0.5 + 0.15 * v)) + 0.12 * v + tail(x(i0), y, z(i2))
     }
-    // density interface (tanh front) + fine-scale mixing tail
-    1.8 + 0.9 * math.tanh(6.0 * (y - 0.5 + 0.15 * v)) + 0.12 * v + fineTail(s, x, y, z, 2.5e-3)
   }
 
   /** Vertically-stacked atmosphere: per-level 2-D fields whose mode phases
@@ -205,95 +287,112 @@ object SciData {
     * whose per-level amplitude is roughened by `levelAmpRough`. The
     * non-smooth dim 0 is what dynamic dimension freezing targets (§6.3).
     */
-  private def levelStack(s: Long, c: Array[Int], dims: Array[Int],
-                         levelPhaseJump: Double, levelAmpRough: Double): Double = {
-    val lev = c(0)
-    val y = c(1).toDouble / dims(1); val z = c(2).toDouble / dims(2)
-    val levAmp = 1.0 + levelAmpRough * (u(mix(s + 77), lev) - 0.5)
-    var v = 0.0
-    var m = 0
-    while (m < 6) {
-      val ky = 0.8 + 2.4 * u(s, 8 * m); val kz = 0.8 + 2.4 * u(s, 8 * m + 1)
-      // envelope centers drift randomly per level so the stack is NOT a
-      // low-Tucker-rank sum of separable terms (real atmospheres aren't)
-      val cy = (u(s, 8 * m + 4) + 0.2 * u(mix(s + 1013L * lev), m)) % 1.0
-      val cz = (u(s, 8 * m + 5) + 0.2 * u(mix(s + 2027L * lev), m + 40)) % 1.0
-      val d2 = (y - cy) * (y - cy) + (z - cz) * (z - cz)
-      val env = math.exp(-d2 / 0.3)
-      val phase = 6.28 * u(s, 8 * m + 2) + levelPhaseJump * lev * (1 + 0.3 * m)
-      v += env * math.sin(6.28 * (ky * y + kz * z) + phase) / (m + 1.2)
-      m += 1
-    }
+  private final class LevelStack(s: Long, b: Box, levelPhaseJump: Double, levelAmpRough: Double) extends Gen {
+    private val lev = Array.tabulate(b.e(0))(b.o(0) + _)
+    private val y = b.frac(1); private val z = b.frac(2)
+    private val ky = perAxis(6, y)((m, v) => (0.8 + 2.4 * u(s, 8 * m)) * v)
+    private val kz = perAxis(6, z)((m, v) => (0.8 + 2.4 * u(s, 8 * m + 1)) * v)
+    private val levAmp = lev.map(l => 1.0 + levelAmpRough * (u(mix(s + 77), l) - 0.5))
+    // envelope centers drift randomly per level so the stack is NOT a
+    // low-Tucker-rank sum of separable terms (real atmospheres aren't)
+    private val cy = lev.map(l => Array.tabulate(6)(m => (u(s, 8 * m + 4) + 0.2 * u(mix(s + 1013L * l), m)) % 1.0))
+    private val cz = lev.map(l => Array.tabulate(6)(m => (u(s, 8 * m + 5) + 0.2 * u(mix(s + 2027L * l), m + 40)) % 1.0))
+    private val phase = lev.map(l => Array.tabulate(6)(m => 6.28 * u(s, 8 * m + 2) + levelPhaseJump * l * (1 + 0.3 * m)))
     // per-level INDEPENDENT fine noise: each atmospheric level carries its
     // own small-scale structure, so no horizontal basis is shared across
     // levels (this is what defeats global-basis compressors on real CESM)
-    levAmp * v + 0.02 * lev + fineTail(mix(s + 7919L * (lev + 3)), 0.37, y, z, 3e-3)
+    private val tail = lev.map(l => new FineTail(mix(s + 7919L * (l + 3)), 3e-3))
+    def at(i0: Int, i1: Int, i2: Int): Double = {
+      val y = this.y(i1); val z = this.z(i2)
+      val cyl = cy(i0); val czl = cz(i0); val phl = phase(i0)
+      var v = 0.0
+      var m = 0
+      while (m < 6) {
+        val d2 = (y - cyl(m)) * (y - cyl(m)) + (z - czl(m)) * (z - czl(m))
+        val env = math.exp(-d2 / 0.3)
+        v += env * math.sin(6.28 * (ky(m)(i1) + kz(m)(i2)) + phl(m)) / (m + 1.2)
+        m += 1
+      }
+      levAmp(i0) * v + 0.02 * lev(i0) + tail(i0)(0.37, y, z)
+    }
   }
 
   /** JHTDB: broadband multi-octave turbulence — steep power-law spectrum
     * (pressure fields are smooth at the grid scale), with envelopes on
-    * the high octaves to break separability.
+    * the high octaves to break separability. Modes j = 3·octave + m.
     */
-  private def jhtdb(s: Long, c: Array[Int], dims: Array[Int]): Double = {
-    val x = c(0).toDouble / dims(0); val y = c(1).toDouble / dims(1); val z = c(2).toDouble / dims(2)
-    var v = 0.0
-    var o = 0
-    while (o < 4) {
-      val amp = math.pow(2.0, -2.0 * o)
-      var m = 0
-      while (m < 3) {
-        val base = 20 * o + 6 * m
-        val k = (1 << o).toDouble
-        val kx = k * (0.4 + 0.7 * u(s, base)); val ky = k * (0.4 + 0.7 * u(s, base + 1))
-        val kz = k * (0.4 + 0.7 * u(s, base + 2))
-        val env =
-          if (o < 2) 1.0
-          else {
-            val cx = u(s, base + 4); val cy = u(s, base + 5)
-            math.exp(-((x - cx) * (x - cx) + (y - cy) * (y - cy)) / 0.25)
-          }
-        v += amp * env * math.sin(6.28 * (kx * x + ky * y + kz * z) + 6.28 * u(s, base + 3))
-        m += 1
+  private final class Jhtdb(s: Long, b: Box) extends Gen {
+    private val x = b.frac(0); private val y = b.frac(1); private val z = b.frac(2)
+    private def base(j: Int): Int = 20 * (j / 3) + 6 * (j % 3)
+    private def k(j: Int): Double = (1 << (j / 3)).toDouble
+    private val amp = Array.tabulate(12)(j => math.pow(2.0, -2.0 * (j / 3)))
+    private val kx = perAxis(12, x)((j, v) => k(j) * (0.4 + 0.7 * u(s, base(j))) * v)
+    private val ky = perAxis(12, y)((j, v) => k(j) * (0.4 + 0.7 * u(s, base(j) + 1)) * v)
+    private val kz = perAxis(12, z)((j, v) => k(j) * (0.4 + 0.7 * u(s, base(j) + 2)) * v)
+    private val phase = Array.tabulate(12)(j => 6.28 * u(s, base(j) + 3))
+    // The high octaves' envelopes depend on (x, y) only.
+    private val env = Array.tabulate(12, b.e(0), b.e(1)) { (j, i0, i1) =>
+      if (j < 6) 1.0
+      else {
+        val cx = u(s, base(j) + 4); val cy = u(s, base(j) + 5)
+        math.exp(-((x(i0) - cx) * (x(i0) - cx) + (y(i1) - cy) * (y(i1) - cy)) / 0.25)
       }
-      o += 1
     }
-    v + fineTail(s, x, y, z, 4e-3)
+    private val tail = new FineTail(s, 4e-3)
+    def at(i0: Int, i1: Int, i2: Int): Double = {
+      var v = 0.0
+      var j = 0
+      while (j < 12) {
+        v += amp(j) * env(j)(i0)(i1) * math.sin(6.28 * (kx(j)(i0) + ky(j)(i1) + kz(j)(i2)) + phase(j))
+        j += 1
+      }
+      v + tail(x(i0), y(i1), z(i2))
+    }
   }
 
   /** NSTX-GPI: integer plasma-blob movie — bright blobs drifting across a
     * small frame over many time steps (dim 0 = time).
     */
-  private def nstx(s: Long, c: Array[Int], dims: Array[Int]): Double = {
-    val t = c(0).toDouble / dims(0)
-    val y = c(1).toDouble; val z = c(2).toDouble
-    var v = 420.0 + 40.0 * math.sin(12.0 * t)
-    var b = 0
-    while (b < 3) {
-      val yc = dims(1) * (0.2 + 0.6 * ((u(s, 7 * b) + 0.7 * t * (1 + b)) % 1.0))
-      val zc = dims(2) * (0.2 + 0.6 * ((u(s, 7 * b + 1) + 0.9 * t * (2 - 0.5 * b)) % 1.0))
-      val d2 = (y - yc) * (y - yc) + (z - zc) * (z - zc)
-      v += 1600.0 / (1 + b) * math.exp(-d2 / (30.0 + 20 * b))
-      b += 1
+  private final class Nstx(s: Long, b: Box) extends Gen {
+    private val dims = b.dims
+    private val t = b.frac(0)
+    // Blob centers per time step.
+    private val yc = t.map(t => Array.tabulate(3)(b => dims(1) * (0.2 + 0.6 * ((u(s, 7 * b) + 0.7 * t * (1 + b)) % 1.0))))
+    private val zc = t.map(t => Array.tabulate(3)(b => dims(2) * (0.2 + 0.6 * ((u(s, 7 * b + 1) + 0.9 * t * (2 - 0.5 * b)) % 1.0))))
+    def at(i0: Int, i1: Int, i2: Int): Double = {
+      val y = (b.o(1) + i1).toDouble; val z = (b.o(2) + i2).toDouble
+      var v = 420.0 + 40.0 * math.sin(12.0 * t(i0))
+      var k = 0
+      while (k < 3) {
+        val d2 = (y - yc(i0)(k)) * (y - yc(i0)(k)) + (z - zc(i0)(k)) * (z - zc(i0)(k))
+        v += 1600.0 / (1 + k) * math.exp(-d2 / (30.0 + 20 * k))
+        k += 1
+      }
+      v
     }
-    v
   }
 
   /** APS: integer 2-D detector image — smooth background, diffraction
     * rings and bright spots.
     */
-  private def aps(s: Long, c: Array[Int], dims: Array[Int]): Double = {
-    val x = c(0).toDouble / dims(0); val y = c(1).toDouble / dims(1)
-    val dx = x - 0.5; val dy = y - 0.5
-    val r = math.sqrt(dx * dx + dy * dy)
-    var v = 900.0 * math.exp(-r * r * 3.0) + 120.0
-    v += 300.0 * math.exp(-math.pow((r - 0.22) * 40, 2)) + 180.0 * math.exp(-math.pow((r - 0.37) * 50, 2))
-    var sp = 0
-    while (sp < 6) {
-      val sx = u(s, 3 * sp); val sy = u(s, 3 * sp + 1)
-      val d2 = (x - sx) * (x - sx) + (y - sy) * (y - sy)
-      v += 2500.0 * u(s, 3 * sp + 2) * math.exp(-d2 * 8000.0)
-      sp += 1
+  private final class Aps(s: Long, b: Box) extends Gen {
+    private val x = b.frac(0); private val y = b.frac(1)
+    private val sx = Array.tabulate(6)(sp => u(s, 3 * sp))
+    private val sy = Array.tabulate(6)(sp => u(s, 3 * sp + 1))
+    private val amp = Array.tabulate(6)(sp => 2500.0 * u(s, 3 * sp + 2))
+    def at(i0: Int, i1: Int, i2: Int): Double = {
+      val x = this.x(i0); val y = this.y(i1)
+      val dx = x - 0.5; val dy = y - 0.5
+      val r = math.sqrt(dx * dx + dy * dy)
+      var v = 900.0 * math.exp(-r * r * 3.0) + 120.0
+      v += 300.0 * math.exp(-math.pow((r - 0.22) * 40, 2)) + 180.0 * math.exp(-math.pow((r - 0.37) * 50, 2))
+      var sp = 0
+      while (sp < 6) {
+        val d2 = (x - sx(sp)) * (x - sx(sp)) + (y - sy(sp)) * (y - sy(sp))
+        v += amp(sp) * math.exp(-d2 * 8000.0)
+        sp += 1
+      }
+      v
     }
-    v
   }
 }

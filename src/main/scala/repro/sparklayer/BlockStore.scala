@@ -21,7 +21,7 @@ final case class CompressedBlock(dataset: String, field: String, blockId: Long,
 
 /** Shards n-D fields into fixed-side blocks and back. Block generation is
   * distributed: each Spark partition evaluates the deterministic
-  * [[SciData.valueAt]] for its block range, so no driver-side
+  * [[SciData.box]] for its block range, so no driver-side
   * materialization is needed.
   */
 object BlockStore {
@@ -54,11 +54,7 @@ object BlockStore {
     spark.range(nBlocks).map { bid =>
       val refLocal = FieldRef(ds, fld, dimsSeq.toArray, SciData.intDatasets.contains(ds))
       val (origin, ext) = blockBox(refLocal.dims, side, bid)
-      val sub = GridData.tabulate(ext) { c =>
-        val abs = Array.tabulate(c.length)(k => origin(k) + c(k))
-        SciData.valueAt(refLocal, abs)
-      }
-      Block(ds, fld, bid, origin.toSeq, ext.toSeq, sub.data)
+      Block(ds, fld, bid, origin.toSeq, ext.toSeq, SciData.box(refLocal, origin, ext))
     }
   }
 

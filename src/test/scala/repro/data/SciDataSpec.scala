@@ -31,6 +31,27 @@ class SciDataSpec extends AnyFunSuite {
     g1.data.take(1000).foreach(v => assert(v == v.toFloat.toDouble, s"not fp32-exact: $v"))
   }
 
+  test("generate equals per-point valueAt for all eight datasets") {
+    (floatDatasets ++ intDatasets).map(fields(_, shrink = 0.15).head).foreach { ref =>
+      val g = generate(ref)
+      var idx = 0
+      while (idx < g.size) {
+        val v = valueAt(ref, g.coords(idx))
+        assert(java.lang.Double.compare(v, g.data(idx)) == 0, s"$ref at ${g.coords(idx).mkString(",")}: $v != ${g.data(idx)}")
+        idx += 1
+      }
+    }
+  }
+
+  test("a box equals the matching slice of the generated field") {
+    (floatDatasets ++ intDatasets).map(fields(_, shrink = 0.2).head).foreach { ref =>
+      val g = generate(ref)
+      val origin = g.dims.map(_ / 3)
+      val ext = g.dims.map(d => d - d / 3 - d / 4)
+      assert(java.util.Arrays.equals(box(ref, origin, ext), g.slice(origin, ext).data), ref.toString)
+    }
+  }
+
   test("different fields of a dataset differ") {
     val fs = fields("RTM", shrink = 0.15)
     val a = generate(fs(0)).data

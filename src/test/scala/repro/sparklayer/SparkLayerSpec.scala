@@ -21,6 +21,18 @@ class SparkLayerSpec extends SparkSpec {
     assert(assembled.data.toSeq == direct.data.toSeq)
   }
 
+  test("every generated block equals the matching slice of the field") {
+    for (r <- Seq(ref, SciData.fields("CESM", shrink = 0.12).head, SciData.fields("APS", shrink = 0.1).head)) {
+      val grid = SciData.generate(r)
+      val blocks = BlockStore.blocksDS(spark, r, blockSide).collect()
+      assert(blocks.length == BlockStore.blockGrid(r.dims, blockSide).product)
+      blocks.foreach { b =>
+        assert(java.util.Arrays.equals(b.values, grid.slice(b.origin.toArray, b.dims.toArray).data),
+          s"$r block ${b.blockId}")
+      }
+    }
+  }
+
   test("shard/assemble round-trip is exact") {
     val grid = SciData.generate(ref)
     val blocks = BlockStore.shard(ref, grid, blockSide)
