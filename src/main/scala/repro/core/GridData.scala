@@ -82,20 +82,26 @@ final class GridData(val dims: Array[Int], val data: Array[Double]) extends Seri
         s"slice out of range on dim $k: ${origin(k)}+${extents(k)} > ${dims(k)}")
       k += 1
     }
-    val out = new Array[Double](extents.map(_.toLong).product.toInt)
+    val out = new GridData(extents, new Array[Double](extents.map(_.toLong).product.toInt))
+    // Copy row by row along the last dimension.
+    val last = ndim - 1
+    val rowLen = extents(last)
+    val rows = out.size / rowLen
     val c = new Array[Int](ndim)
-    var o = 0
-    while (o < out.length) {
-      var rem = o; var i = 0
-      while (i < ndim) {
-        val st = extents.drop(i + 1).product
-        c(i) = origin(i) + rem / st; rem %= st
+    var row = 0
+    while (row < rows) {
+      val o = row * rowLen
+      var src = origin(last)
+      var i = 0
+      while (i < last) {
+        c(i) = (o / out.strides(i)) % extents(i)
+        src += (origin(i) + c(i)) * strides(i)
         i += 1
       }
-      out(o) = data(index(c))
-      o += 1
+      System.arraycopy(data, src, out.data, o, rowLen)
+      row += 1
     }
-    new GridData(extents, out)
+    out
   }
 
   /** Writes `sub` back at `origin` (inverse of [[slice]]). */

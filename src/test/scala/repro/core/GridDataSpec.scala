@@ -55,6 +55,19 @@ class GridDataSpec extends AnyFunSuite {
     assert(s.data.toSeq == Seq(21.0, 22.0, 25.0, 26.0, 37.0, 38.0, 41.0, 42.0))
   }
 
+  test("slice matches coordinate lookup on 1-D and 4-D grids") {
+    for (dims <- Seq(Array(13), Array(3, 5, 4, 6))) {
+      val g = GridData.tabulate(dims)(c => c.zipWithIndex.map { case (v, k) => v * math.pow(10, k) }.sum)
+      val origin = dims.map(_ / 3)
+      val ext = dims.map(d => d - d / 3 - 1)
+      val s = g.slice(origin, ext)
+      for (o <- 0 until s.size) {
+        val c = s.coords(o)
+        assert(s.data(o) == g(Array.tabulate(dims.length)(k => origin(k) + c(k))))
+      }
+    }
+  }
+
   test("paste is the inverse of slice") {
     val g = GridData.tabulate(Array(5, 5))(c => c(0) + c(1).toDouble)
     val s = g.slice(Array(2, 1), Array(2, 3))
