@@ -14,11 +14,21 @@ object Metrics {
     s / a.length
   }
 
-  /** Max absolute point-wise error — must be <= the absolute error bound. */
+  /** Max absolute point-wise error — must be <= the absolute error bound.
+    * NaN as soon as either side holds a NaN, so a `<= bound` check fails
+    * on it; equal values (also equal infinities) count as no error.
+    */
   def maxAbsError(a: Array[Double], b: Array[Double]): Double = {
     require(a.length == b.length)
     var m = 0.0; var i = 0
-    while (i < a.length) { val d = math.abs(a(i) - b(i)); if (d > m) m = d; i += 1 }
+    while (i < a.length) {
+      if (a(i) != b(i)) {
+        val d = math.abs(a(i) - b(i))
+        if (d.isNaN) return Double.NaN
+        if (d > m) m = d
+      }
+      i += 1
+    }
     m
   }
 

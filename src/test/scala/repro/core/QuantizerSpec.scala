@@ -95,6 +95,18 @@ class MetricsSpec extends AnyFunSuite {
     assert(Metrics.maxAbsError(Array(0.0, 5.0, -2.0), Array(1.0, 5.5, -4.0)) == 2.0)
   }
 
+  test("maxAbsError fails every bound check when a point is NaN") {
+    val orig = Array(0.0, 5.0, -2.0)
+    for (i <- orig.indices) {
+      val withNaN = orig.clone(); withNaN(i) = Double.NaN
+      assert(Metrics.maxAbsError(orig, withNaN).isNaN, s"NaN reconstruction at $i")
+      assert(Metrics.maxAbsError(withNaN, orig).isNaN, s"NaN original at $i")
+      assert(!(Metrics.maxAbsError(orig, withNaN) <= 1.0))
+    }
+    assert(Metrics.maxAbsError(Array(1.0), Array(Double.PositiveInfinity)).isPosInfinity)
+    assert(Metrics.maxAbsError(Array(Double.NegativeInfinity), Array(Double.NegativeInfinity)) == 0.0)
+  }
+
   test("psnr of perfect reconstruction is infinite") {
     val g = GridData.tabulate(Array(4, 4))(c => c(0) + c(1).toDouble)
     assert(Metrics.psnr(g, g.copyGrid).isPosInfinity)
