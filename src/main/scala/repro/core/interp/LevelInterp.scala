@@ -157,7 +157,7 @@ object LevelInterp {
   // Buffers and quantizer
 
   /** Growable int buffer without boxing. */
-  private[interp] final class IntBuf(initial: Int = 1 << 12) {
+  private[interp] final class IntBuf(initial: Int) {
     private var a = new Array[Int](math.max(16, initial))
     private var n = 0
     def +=(v: Int): Unit = {
