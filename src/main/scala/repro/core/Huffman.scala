@@ -240,33 +240,6 @@ object Huffman {
   /** The low `len` bits of `v` in reverse order. */
   private def reverse(v: Long, len: Int): Long = java.lang.Long.reverse(v) >>> (64 - len)
 
-  /** Shannon entropy in bits/symbol of a symbol stream — used by the
-    * auto-tuner to estimate encoded size without running full Huffman.
-    */
-  def entropyBits(symbols: Array[Int]): Double = {
-    if (symbols.isEmpty) return 0.0
-    var maxSym = 0
-    var i = 0
-    while (i < symbols.length) { if (symbols(i) > maxSym) maxSym = symbols(i); i += 1 }
-    val n = symbols.length.toDouble
-    var h = 0.0
-    if (maxSym < (1 << 21)) {
-      val counts = new Array[Long](maxSym + 1)
-      i = 0
-      while (i < symbols.length) { counts(symbols(i)) += 1; i += 1 }
-      i = 0
-      while (i <= maxSym) {
-        if (counts(i) > 0) { val p = counts(i) / n; h -= p * math.log(p) / math.log(2) }
-        i += 1
-      }
-    } else {
-      val freq = mutable.LongMap.empty[Long]
-      symbols.foreach { s => freq.update(s.toLong, freq.getOrElse(s.toLong, 0L) + 1L) }
-      freq.values.foreach { c => val p = c / n; h -= p * math.log(p) / math.log(2) }
-    }
-    h
-  }
-
   /** Huffman code lengths via the standard two-queue/heap construction. */
   private def codeLengths(freq: mutable.LongMap[Long]): mutable.LongMap[Int] = {
     val lengths = mutable.LongMap.empty[Int]
