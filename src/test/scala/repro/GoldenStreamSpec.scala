@@ -4,6 +4,7 @@ import java.security.MessageDigest
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 import repro.core.interp._
+import repro.core.lorenzo.Lorenzo
 import repro.data.SciData
 import repro.eval.Eval
 
@@ -58,6 +59,21 @@ object GoldenStreams {
       (w.toBytes, LevelInterp.decompressWith(p, res.codes, res.outliers, res.anchors))
     })
 
+  /** Direct Lorenzo round trip: the stream is the raw codes and outliers
+    * followed by that order's trial statistics on the same grid.
+    */
+  private def lorenzoCase(label: String, grid: => GridData, eb: Double, order: Int): Case =
+    Case(s"lorenzo order $order on $label at $eb", () => {
+      val g = grid
+      val (codes, outliers) = Lorenzo.compressWith(g.copyGrid, eb, order)
+      val t = Lorenzo.trial(g, eb).find(_.order == order).get
+      val w = new ByteWriter()
+      w.writeIntArray(codes)
+      w.writeDoubleArray(outliers)
+      w.writeDoubleArray(Array(t.nPredicted.toDouble, t.meanAbsErr, t.reconMse, t.estPayloadBits))
+      (w.toBytes, Lorenzo.decompressWith(g.dims, eb, order, codes, outliers))
+    })
+
   private def grid4D: GridData =
     GridData.toFloatPrecision(GridData.tabulate(Array(9, 11, 6, 13)) { c =>
       math.sin(c(0) * 0.3) + math.cos(c(1) * 0.2) * math.sin(c(2) * 0.4) + 0.1 * c(3)
@@ -95,6 +111,22 @@ object GoldenStreams {
   val lorenzoCases: Seq[Case] = Seq(
     fieldCase("HPEZ", SciData.fields("Miranda").head, 1e-5),
     codecCase("HPEZ", "TestGrids.ints2D", TestGrids.ints2D(), 1e-5))
+
+  /** Every stencil shape: 1-D to 4-D, an outlier-heavy input, and a grid
+    * whose outer extents are below the order, so every point is a boundary
+    * point.
+    */
+  private val lorenzoDirect: Seq[Case] = for {
+    order <- Seq(1, 2)
+    (label, g, eb) <- Seq[(String, () => GridData, Double)](
+      ("TestGrids.smooth1D", () => TestGrids.smooth1D(), 1e-4),
+      ("TestGrids.smooth2D", () => TestGrids.smooth2D(), 1e-4),
+      ("TestGrids.ints2D", () => TestGrids.ints2D(), 0.5),
+      ("17x19x23", () => TestGrids.smooth3D(17, 19, 23), 1e-4),
+      ("1x2x30", () => TestGrids.smooth3D(1, 2, 30), 1e-4),
+      ("TestGrids.noise3D", () => TestGrids.noise3D(), 1e-6),
+      ("4-D", () => grid4D, 1e-3))
+  } yield lorenzoCase(label, g(), eb, order)
 
   val cases: Seq[Case] = {
     val conformance = for (codec <- Eval.CompressorNames; ref <- conformanceRefs) yield fieldCase(codec, ref, 1e-3)
@@ -134,7 +166,7 @@ object GoldenStreams {
       planCase("noise multi-dim at 1e-5", TestGrids.noise3D(), g =>
         InterpPlan.uniform(g.dims, 32, LevelConfig(Spline.Kind.NotAKnot, Paradigm.MultiDim, sameLevel = false), 1e-5)),
     )
-    conformance ++ mirandaBounds ++ hpezAll ++ noFvfi ++ psnr ++ small ++ lorenzoCases ++ plans ++ special
+    conformance ++ mirandaBounds ++ hpezAll ++ noFvfi ++ psnr ++ small ++ lorenzoCases ++ lorenzoDirect ++ plans ++ special
   }
 }
 
@@ -506,6 +538,48 @@ class GoldenStreamSpec extends AnyFunSuite {
     "plan 1-D natural same-level" ->
       ("7c47d7fa924a1da3df5297c6c9ac2f03a7c975236db08ef5f496bd7b7abb7307",
        "348e57afd6ede09caf50dfb102d77c253fcf055bf57daf697ee5560c941da50f"),
+    "lorenzo order 1 on TestGrids.smooth1D at 1.0E-4" ->
+      ("7a6612c93d2fa9e6dc6eebbb3a2755766cff44ca684799ce101013995f6d80c3",
+       "970d79c5db2980752172c1794c322e9124fae25da3cec2aa288bd054e7a9a0ab"),
+    "lorenzo order 1 on TestGrids.smooth2D at 1.0E-4" ->
+      ("8e96751815e155c63a1b2ec4e8f4098cc12016d8c13a2e1137557201ad295423",
+       "ecebbe1cba6caac9ddfacae896b46a567b8ccf596a8e1528edf8a421a2230474"),
+    "lorenzo order 1 on TestGrids.ints2D at 0.5" ->
+      ("d36bf1a6ffc5f89d0926a1413b525ffbb64986d0124b8e1db60b3589b1744170",
+       "2014de5c16b70cdfd4b9cc8300a34c3471eed6ba002e29a82d33a4f39cf57de2"),
+    "lorenzo order 1 on 17x19x23 at 1.0E-4" ->
+      ("1f0b30c66ec7facf040d9f6b4042565757d1ffafd26979b04d143259fdf92e07",
+       "78f361b4faa79a53c3b22f3526e818f0ecf0156c4a68342316287473162d58b7"),
+    "lorenzo order 1 on 1x2x30 at 1.0E-4" ->
+      ("8b9548d98fecc118631a29067060537089a182f2d433c913cf911e58b1f96fd2",
+       "07d400f6be22ecab7d5dfe8e486a33707dd8c3fc9c75ef1ee9605afddc645a53"),
+    "lorenzo order 1 on TestGrids.noise3D at 1.0E-6" ->
+      ("619118c46124796365f55ca04d2f2c6abdba2b37fc834d4e61bfcb2c3d0f2485",
+       "a163de668688692cc79166add9140df612f011d94d2e187f18aa79e0233101ca"),
+    "lorenzo order 1 on 4-D at 0.001" ->
+      ("3bf050333803eabbdee9f43870787488f0310313d7d0b33e8416c0c1c8a18065",
+       "05e9362071599016d44baddfef30b04f8f65d8f169eb73064aef192df1b2016c"),
+    "lorenzo order 2 on TestGrids.smooth1D at 1.0E-4" ->
+      ("cf64dd61c52db85858a58af3e0197e2f580f3997b5576cd82b04384ae2624b1d",
+       "719a34c30cce91ea290213c9625d0c2648f1eccedc311df2570eea0ab3e11bee"),
+    "lorenzo order 2 on TestGrids.smooth2D at 1.0E-4" ->
+      ("06efb7788dee76f495110be5f6ab7d5070591bdb25528b076b0e5a49b7b4ad67",
+       "ff0f8b7e3033623b970769b87fbef557c7b67a5fd0b8079a2bf9c4cd23593f33"),
+    "lorenzo order 2 on TestGrids.ints2D at 0.5" ->
+      ("7c4622f63968437c7d131a8410337eed7b46ced83d15c807bf27813fa58a5698",
+       "2014de5c16b70cdfd4b9cc8300a34c3471eed6ba002e29a82d33a4f39cf57de2"),
+    "lorenzo order 2 on 17x19x23 at 1.0E-4" ->
+      ("83b203e10c49aa9f9d3c7cd21918a616052676383a6f4f19f8467c70a58d3bb9",
+       "4a1e807aa6ce8f92c9a38d4c1bfd6ad86a4889ee40995d0cbd0f315d7352924c"),
+    "lorenzo order 2 on 1x2x30 at 1.0E-4" ->
+      ("a0cdc860bdefc9add1eeb5e95f67b0b3f811ca76a93cd7fa4b9e8a2824d9c912",
+       "5eb41c786119ccb6cffc8e51b0c338e8fb9e4dfe119e89df7b4fd74d9df7288c"),
+    "lorenzo order 2 on TestGrids.noise3D at 1.0E-6" ->
+      ("0b7734ebe0ae58a1af82cf3b7947d36e4ba839ac6e1c56ffd88b61f738757547",
+       "29b447a4c55bda023536072390f1fd476e7de1028726aca4f52d18aeb2653721"),
+    "lorenzo order 2 on 4-D at 0.001" ->
+      ("562d2f946d7e75113bff0ef7a4f8f9e77c875c4c487f42821783ea8b403f1f1f",
+       "4c2c1b316678bda039bdcef4c4885adfdb0059558f24ed72c45b616d5baa58ac"),
     "plan noise multi-dim at 1e-5" ->
       ("c114ad6fa1075670dd854d98f3f4134155ad095bd942fc5bd2c4fa17486e0662",
        "12d45088826b78339557f27265a798f62d209c29405266806c917ee8a5751284")
