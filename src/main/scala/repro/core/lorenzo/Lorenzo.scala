@@ -90,7 +90,9 @@ object Lorenzo {
     var size = 0
     /** Flat-index distance between the points of consecutive lines in one step. */
     val lineStep: Int = length - 1
+    /** The first step at which all [[Group]] lines are at least `order` points in. */
     val steadyFrom: Int = order + Group - 1
+    /** One past the last such step: the line length for a group of [[Group]] lines, else 0. */
     var steadyUntil = 0
     /** Steps in the group. */
     def steps: Int = length + size - 1

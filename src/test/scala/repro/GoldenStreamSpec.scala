@@ -173,9 +173,9 @@ object GoldenStreams {
 /** Byte-identity proof for refactors of the prediction traversal and the
   * entropy stage: every case's compressed bytes and decompressed grid must
   * hash to the pinned SHA-256 values. The hashes were computed with the
-  * per-point traversal and bit-serial Huffman decoder that the line
-  * kernels and the table decoder replaced; only a deliberate stream-format
-  * change may edit them.
+  * per-point traversal, Lorenzo sweep and bit-serial Huffman decoder that
+  * the line kernels, the grouped Lorenzo sweep and the table decoder
+  * replaced; only a deliberate stream-format change may edit them.
   */
 class GoldenStreamSpec extends AnyFunSuite {
   import GoldenStreams._
