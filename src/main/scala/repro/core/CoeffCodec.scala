@@ -101,14 +101,4 @@ object OutlierCorrection {
       i += 1
     }
   }
-
-  private final class IntBuf {
-    private var a = new Array[Int](256)
-    private var n = 0
-    def +=(v: Int): Unit = {
-      if (n == a.length) a = java.util.Arrays.copyOf(a, a.length * 2)
-      a(n) = v; n += 1
-    }
-    def toArray: Array[Int] = java.util.Arrays.copyOf(a, n)
-  }
 }

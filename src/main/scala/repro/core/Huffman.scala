@@ -2,7 +2,7 @@ package repro.core
 
 import scala.collection.mutable
 
-/** Canonical Huffman codec over non-negative Int symbols.
+/** Canonical Huffman codec over Int symbols in [0, 2^21).
   *
   * This is Step 4 of the HPEZ pipeline (Fig. 1): quantized prediction
   * errors are entropy-coded; "a more concentrated distribution of
@@ -19,30 +19,22 @@ object Huffman {
     w.writeVarInt(symbols.length.toLong)
     if (symbols.isEmpty) return w.toBytes
 
-    // Frequency table — dense array fast path for bounded alphabets
-    // (quantizer codes are 0..2·radius), LongMap fallback otherwise.
+    // Frequency table in ascending symbol order: that order breaks the
+    // heap's ties in `codeLengths`, and so decides the code lengths.
     var maxSym = 0
     var i = 0
     while (i < symbols.length) {
-      require(symbols(i) >= 0, s"negative symbol ${symbols(i)}")
-      if (symbols(i) > maxSym) maxSym = symbols(i)
+      val s = symbols(i)
+      require(s >= 0 && s < MaxSymbol, s"symbol $s outside [0, $MaxSymbol)")
+      if (s > maxSym) maxSym = s
       i += 1
     }
+    val counts = new Array[Long](maxSym + 1)
+    i = 0
+    while (i < symbols.length) { counts(symbols(i)) += 1; i += 1 }
     val freq = mutable.LongMap.empty[Long]
-    if (maxSym < (1 << 21)) {
-      val counts = new Array[Long](maxSym + 1)
-      i = 0
-      while (i < symbols.length) { counts(symbols(i)) += 1; i += 1 }
-      i = 0
-      while (i <= maxSym) { if (counts(i) > 0) freq.update(i.toLong, counts(i)); i += 1 }
-    } else {
-      i = 0
-      while (i < symbols.length) {
-        val k = symbols(i).toLong
-        freq.update(k, freq.getOrElse(k, 0L) + 1L)
-        i += 1
-      }
-    }
+    i = 0
+    while (i <= maxSym) { if (counts(i) > 0) freq.update(i.toLong, counts(i)); i += 1 }
 
     val lengths = codeLengths(freq)
     val syms = lengths.keys.toArray.sorted
@@ -50,39 +42,25 @@ object Huffman {
     w.writeVarInt(syms.length.toLong)
     syms.foreach { s => w.writeVarInt(s); w.writeByte(lengths(s)) }
 
-    val codes = canonicalCodes(syms.map(s => (s, lengths(s))))
-    // Bit-reversed code table for fast emission: BitWriter is LSB-first,
-    // so writing the reversed code emits the canonical code MSB-first.
-    // Dense arrays when the alphabet is bounded.
-    val dense = maxSym < (1 << 21)
-    val revArr = if (dense) new Array[Long](maxSym + 1) else null
-    val lenArr = if (dense) new Array[Int](maxSym + 1) else null
-    val revCodes = new scala.collection.mutable.LongMap[(Long, Int)](codes.size * 2)
-    codes.foreach { case (sym, (code, len)) =>
-      var rev = 0L
-      var b = 0
-      while (b < len) { rev = (rev << 1) | ((code >>> b) & 1L); b += 1 }
-      if (dense) { revArr(sym.toInt) = rev; lenArr(sym.toInt) = len }
-      else revCodes.update(sym, (rev, len))
+    // Bit-reversed codes: BitWriter is LSB-first, so writing the reversed
+    // code emits the canonical code MSB-first. A code over fewer than 2^31
+    // symbols is at most 45 bits deep, within one `writeBits`.
+    val revArr = new Array[Long](maxSym + 1)
+    val lenArr = new Array[Int](maxSym + 1)
+    canonicalCodes(syms.map(s => (s, lengths(s)))).foreach { case (sym, (code, len)) =>
+      revArr(sym.toInt) = reverse(code, len); lenArr(sym.toInt) = len
     }
     val bw = new BitWriter(math.max(1024, symbols.length / 2))
     i = 0
-    while (i < symbols.length) {
-      var rev = 0L
-      var len = 0
-      if (dense) { val sIdx = symbols(i); rev = revArr(sIdx); len = lenArr(sIdx) }
-      else { val p = revCodes(symbols(i).toLong); rev = p._1; len = p._2 }
-      if (len <= 57) bw.writeBits(rev, len)
-      else {
-        // pathological depths: emit MSB-first bit by bit from the reversed code
-        var b = 0
-        while (b < len) { bw.writeBit(((rev >>> b) & 1L).toInt); b += 1 }
-      }
-      i += 1
-    }
+    while (i < symbols.length) { val s = symbols(i); bw.writeBits(revArr(s), lenArr(s)); i += 1 }
     w.writeBlob(bw.toBytes)
     w.toBytes
   }
+
+  /** Symbols [[encode]] accepts are below this bound; every caller's are
+    * below 2^16.
+    */
+  private final val MaxSymbol = 1 << 21
 
   /** Bits resolved by one lookup of the decode table; longer codes finish
     * with a canonical search over the remaining bits.

@@ -3,34 +3,17 @@ package repro.core
 /** Zstd lossless post-processing (Step 5 of the HPEZ pipeline, Fig. 1).
   *
   * Uses zstd-jni shipped with the Spark distribution (the same library
-  * the paper's compressors link against). A Deflate fallback keeps the
-  * codebase runnable if the native library fails to load.
+  * the paper's compressors link against). The output starts with codec
+  * tag 1 (Zstd, the only codec) and the raw size.
   */
 object Lossless {
-
-  private lazy val zstdAvailable: Boolean =
-    try { com.github.luben.zstd.Zstd.compress(Array[Byte](1, 2, 3), 3); true }
-    catch { case _: Throwable => false }
 
   /** Compresses `bytes`; output is self-describing (codec tag + raw size). */
   def compress(bytes: Array[Byte], level: Int = 3): Array[Byte] = {
     val w = new ByteWriter(bytes.length / 2 + 64)
-    if (zstdAvailable) {
-      val out = com.github.luben.zstd.Zstd.compress(bytes, level)
-      w.writeByte(1)
-      w.writeVarInt(bytes.length.toLong)
-      w.writeBlob(out)
-    } else {
-      val d = new java.util.zip.Deflater(6)
-      d.setInput(bytes); d.finish()
-      val buf = new Array[Byte](math.max(64, bytes.length / 2))
-      val bos = new java.io.ByteArrayOutputStream()
-      while (!d.finished()) bos.write(buf, 0, d.deflate(buf))
-      d.end()
-      w.writeByte(2)
-      w.writeVarInt(bytes.length.toLong)
-      w.writeBlob(bos.toByteArray)
-    }
+    w.writeByte(1)
+    w.writeVarInt(bytes.length.toLong)
+    w.writeBlob(com.github.luben.zstd.Zstd.compress(bytes, level))
     w.toBytes
   }
 
@@ -38,22 +21,9 @@ object Lossless {
   def decompress(bytes: Array[Byte]): Array[Byte] = {
     val r = new ByteReader(bytes)
     val codec = r.readByte()
-    val rawSize = r.readVarInt().toInt
-    val payload = r.readBlob()
-    codec match {
-      case 1 =>
-        val out = new Array[Byte](rawSize)
-        com.github.luben.zstd.Zstd.decompress(out, payload)
-        out
-      case 2 =>
-        val inf = new java.util.zip.Inflater()
-        inf.setInput(payload)
-        val out = new Array[Byte](rawSize)
-        var off = 0
-        while (off < rawSize && !inf.finished()) off += inf.inflate(out, off, rawSize - off)
-        inf.end()
-        out
-      case other => throw new IllegalArgumentException(s"unknown lossless codec tag $other")
-    }
+    require(codec == 1, s"unknown lossless codec tag $codec")
+    val out = new Array[Byte](r.readVarInt().toInt)
+    com.github.luben.zstd.Zstd.decompress(out, r.readBlob())
+    out
   }
 }

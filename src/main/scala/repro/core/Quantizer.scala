@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
-
 /** SZ3-style linear error quantizer (Step 3 of the HPEZ pipeline, Fig. 1).
   *
   * For a value x with prediction p, the signed quantization index is
@@ -11,35 +9,9 @@ import scala.collection.mutable.ArrayBuffer
   * points, whose exact (float32) values are stored in a side list.
   *
   * Compression must continue predicting from RECONSTRUCTED values so that
-  * decompression replays identically — [[quantize]] therefore returns the
-  * reconstruction for the caller to write back into the working grid.
-  */
-final class LinearQuantizer(val eb: Double, val radius: Int = 32768) {
-  require(eb > 0, s"error bound must be positive: $eb")
-
-  val codes: ArrayBuffer[Int] = ArrayBuffer.empty[Int]
-  val outliers: ArrayBuffer[Double] = ArrayBuffer.empty[Double]
-
-  /** Quantizes (value, prediction); records the code; returns the
-    * reconstructed value the decompressor will produce.
-    */
-  def quantize(value: Double, pred: Double): Double = {
-    val code = LinearQuantizer.code(value, pred, eb, radius)
-    codes += code
-    if (code != 0) LinearQuantizer.reconstruct(code, pred, eb, radius)
-    else {
-      val v = LinearQuantizer.escaped(value)
-      outliers += v
-      v
-    }
-  }
-
-  def codesArray: Array[Int] = codes.toArray
-  def outliersArray: Array[Double] = outliers.toArray
-}
-
-/** The quantizer's formulas, for sweeps that keep their codes in arrays of
-  * their own.
+  * decompression replays identically: the interpolation traversal and the
+  * Lorenzo sweep write [[reconstruct]] (or [[escaped]]) back into their
+  * working grids.
   */
 object LinearQuantizer {
 
@@ -62,20 +34,12 @@ object LinearQuantizer {
     * storage is exact for our inputs (see GridData doc).
     */
   def escaped(value: Double): Double = value.toFloat.toDouble
-}
 
-/** Decompression-side mirror: replays codes/outliers in the identical order. */
-final class LinearDequantizer(val eb: Double, val radius: Int,
-                              codes: Array[Int], outliers: Array[Double]) {
-  private var ci = 0
-  private var oi = 0
-
-  /** Reconstructs the next value given its prediction. */
-  def next(pred: Double): Double = {
-    val code = codes(ci); ci += 1
-    if (code == 0) { val v = outliers(oi); oi += 1; v }
-    else LinearQuantizer.reconstruct(code, pred, eb, radius)
-  }
-
-  def consumedCodes: Int = ci
+  /** Tuning-trial size estimate of a quantizer output: its codes through
+    * the real entropy stage (Huffman + Zstd) plus 36 bits per outlier.
+    * Shannon entropy misranks configurations because it ignores both the
+    * Huffman table and Zstd's gains on concentrated streams.
+    */
+  def payloadBits(codes: Array[Int], nOutliers: Int): Double =
+    (if (codes.isEmpty) 0.0 else Lossless.compress(Huffman.encode(codes)).length * 8.0) + 36.0 * nOutliers
 }

@@ -64,6 +64,8 @@ final case class InterpPlan(
   val maxLevel: Int = Integer.numberOfTrailingZeros(anchorStride)
   require(levelConfigs.length == maxLevel, s"need $maxLevel level configs")
   require(levelEbs.length == maxLevel, s"need $maxLevel level ebs")
+  require(levelEbs.forall(e => e > 0 && e < Double.PositiveInfinity),
+    s"level error bounds must be finite and positive: ${levelEbs.mkString(", ")}")
   require(frozenDim >= -1 && frozenDim < dims.length)
   require(frozenDim == -1 || dims.length >= 2, "cannot freeze the only dimension")
 

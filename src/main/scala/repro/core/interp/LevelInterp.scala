@@ -51,18 +51,13 @@ object LevelInterp {
     * @param perLevelAbs    Σ |prediction error| per level (index l−1)
     * @param perLevelCnt    predicted-point count per level
     */
-  final case class TrialStats(nPredicted: Long, sumAbsErr: Double, sumSqErr: Double,
-                              sumSqRecon: Double, estPayloadBits: Double, nAnchors: Long,
+  final case class TrialStats(nPredicted: Long, sumAbsErr: Double, sumSqRecon: Double,
+                              estPayloadBits: Double, nAnchors: Long,
                               perLevelAbs: Array[Double], perLevelCnt: Array[Long]) {
     def meanAbsErr: Double = if (nPredicted == 0) 0 else sumAbsErr / nPredicted
-    def mse: Double = if (nPredicted == 0) 0 else sumSqErr / nPredicted
     def reconMse: Double = if (nPredicted == 0) 0 else sumSqRecon / nPredicted
     /** Estimated total bits incl. fp32 anchors. */
     def totalBits: Double = estPayloadBits + 32.0 * nAnchors
-    def meanAbsAtLevel(l: Int): Double = {
-      val c = perLevelCnt(l - 1)
-      if (c == 0) Double.PositiveInfinity else perLevelAbs(l - 1) / c
-    }
   }
 
   // ---------------------------------------------------------------------
@@ -111,7 +106,7 @@ object LevelInterp {
     }
     val t = new CompressTraversal(work, plan, work.size - anchors.length)
     t.run()
-    InterpResult(t.quant.codesArray0, t.quant.outliersArray0, anchors)
+    InterpResult(t.quant.codesArray, t.quant.outliersArray, anchors)
   }
 
   /** Rebuilds the grid from codes/outliers/anchors by replaying the
@@ -129,11 +124,9 @@ object LevelInterp {
 
   /** Tuning trial: runs the traversal on a COPY of `grid`, quantizing with
     * the plan's error bounds, and returns error/size statistics. With
-    * `encode` the codes go through the real entropy stage (Huffman + Zstd)
-    * for the size estimate: Shannon entropy misranks configurations because
-    * it ignores both the Huffman table and Zstd's gains on concentrated
-    * streams. Callers that only need prediction-error statistics pass
-    * `encode = false` and get no size estimate.
+    * `encode` the size estimate is [[LinearQuantizer.payloadBits]]; callers
+    * that only need prediction-error statistics pass `encode = false` and
+    * get no size estimate.
     */
   def trial(grid: GridData, plan: InterpPlan, encode: Boolean = true): TrialStats = {
     val work = grid.copyGrid
@@ -143,60 +136,29 @@ object LevelInterp {
     val t = new TrialTraversal(work, plan)
     t.run()
     val estPayloadBits =
-      if (!encode) Double.NaN
-      else {
-        val codes = t.quant.codesArray0
-        val codeBits = if (codes.isEmpty) 0.0 else Lossless.compress(Huffman.encode(codes)).length * 8.0
-        codeBits + 36.0 * t.quant.outliersArray0.length
-      }
-    TrialStats(t.count, t.sumAbs, t.sumSq, t.sumSqRecon, estPayloadBits, anchorIdx.length,
-      t.levelAbs, t.levelCnt)
+      if (encode) LinearQuantizer.payloadBits(t.quant.codesArray, t.quant.outliersArray.length)
+      else Double.NaN
+    TrialStats(t.count, t.sumAbs, t.sumSqRecon, estPayloadBits, anchorIdx.length, t.levelAbs, t.levelCnt)
   }
 
   // ---------------------------------------------------------------------
-  // Buffers and quantizer
+  // Quantizer
 
-  /** Growable int buffer without boxing. */
-  private[interp] final class IntBuf(initial: Int) {
-    private var a = new Array[Int](math.max(16, initial))
-    private var n = 0
-    def +=(v: Int): Unit = {
-      if (n == a.length) a = java.util.Arrays.copyOf(a, a.length * 2)
-      a(n) = v; n += 1
-    }
-    def toArray: Array[Int] = java.util.Arrays.copyOf(a, n)
-  }
-
-  private[interp] final class DblBuf(initial: Int = 256) {
-    private var a = new Array[Double](initial)
-    private var n = 0
-    def +=(v: Double): Unit = {
-      if (n == a.length) a = java.util.Arrays.copyOf(a, a.length * 2)
-      a(n) = v; n += 1
-    }
-    def toArray: Array[Double] = java.util.Arrays.copyOf(a, n)
-  }
-
-  /** Inline quantizer shared by the compress and trial loops (code 0 = outlier). */
-  private[interp] final class StreamQuantizer(expectedCodes: Int) {
+  /** [[LinearQuantizer]] at the current level's bound, collecting the codes
+    * and outliers of the compress and trial loops.
+    */
+  private final class StreamQuantizer(expectedCodes: Int) {
     private val codes = new IntBuf(expectedCodes)
     private val outs = new DblBuf()
-    private var eb = 1.0
-    private var twoEb = 2.0
-    def setEb(e: Double): Unit = { eb = e; twoEb = 2 * e }
+    var eb = 1.0
     def quantize(value: Double, pred: Double): Double = {
-      val q = math.rint((value - pred) / twoEb)
-      if (math.abs(q) < Radius - 1) {
-        val recon = pred + q * twoEb
-        if (math.abs(recon - value) <= eb) { codes += (q.toInt + Radius); return recon }
-      }
-      codes += 0
-      val v = value.toFloat.toDouble
-      outs += v
-      v
+      val code = LinearQuantizer.code(value, pred, eb, Radius)
+      codes += code
+      if (code != 0) LinearQuantizer.reconstruct(code, pred, eb, Radius)
+      else { val v = LinearQuantizer.escaped(value); outs += v; v }
     }
-    def codesArray0: Array[Int] = codes.toArray
-    def outliersArray0: Array[Double] = outs.toArray
+    def codesArray: Array[Int] = codes.toArray
+    def outliersArray: Array[Double] = outs.toArray
   }
 
   // ---------------------------------------------------------------------
@@ -205,7 +167,7 @@ object LevelInterp {
   private final class CompressTraversal(grid: GridData, plan: InterpPlan, expectedCodes: Int)
       extends Traversal(grid, plan) {
     val quant = new StreamQuantizer(expectedCodes)
-    protected def startLevel(level: Int, eb: Double): Unit = quant.setEb(eb)
+    protected def startLevel(level: Int, eb: Double): Unit = quant.eb = eb
     protected def line(pred: Array[Double], m: Int, idx0: Int, step: Int): Unit = {
       var i = 0
       var idx = idx0
@@ -220,8 +182,8 @@ object LevelInterp {
                                           outliers: Array[Double]) extends Traversal(grid, plan) {
     private var ci = 0
     private var oi = 0
-    private var twoEb = 2.0
-    protected def startLevel(level: Int, eb: Double): Unit = twoEb = 2 * eb
+    private var eb = 1.0
+    protected def startLevel(level: Int, e: Double): Unit = eb = e
     protected def line(pred: Array[Double], m: Int, idx0: Int, step: Int): Unit = {
       var c = ci
       var i = 0
@@ -230,7 +192,7 @@ object LevelInterp {
         val code = codes(c); c += 1
         data(idx) =
           if (code == 0) { val v = outliers(oi); oi += 1; v }
-          else pred(i) + (code - Radius).toDouble * twoEb
+          else LinearQuantizer.reconstruct(code, pred(i), eb, Radius)
         i += 1; idx += step
       }
       ci = c
@@ -241,25 +203,23 @@ object LevelInterp {
     val quant = new StreamQuantizer(grid.size)
     var count = 0L
     var sumAbs = 0.0
-    var sumSq = 0.0
     var sumSqRecon = 0.0
     val levelAbs = new Array[Double](plan.maxLevel)
     val levelCnt = new Array[Long](plan.maxLevel)
     private var curLevel = 1
-    protected def startLevel(level: Int, eb: Double): Unit = { curLevel = level; quant.setEb(eb) }
+    protected def startLevel(level: Int, eb: Double): Unit = { curLevel = level; quant.eb = eb }
     protected def line(pred: Array[Double], m: Int, idx0: Int, step: Int): Unit = {
       var absL = levelAbs(curLevel - 1)
       var sa = sumAbs
-      var sq = sumSq
       var sr = sumSqRecon
       var i = 0
       var idx = idx0
       while (i < m) {
         val v = data(idx)
         val p = pred(i)
-        val err = v - p
-        sa += math.abs(err); sq += err * err
-        absL += math.abs(err)
+        val err = math.abs(v - p)
+        sa += err
+        absL += err
         val recon = quant.quantize(v, p)
         val re = recon - v
         sr += re * re
@@ -269,7 +229,7 @@ object LevelInterp {
       count += m
       levelCnt(curLevel - 1) += m
       levelAbs(curLevel - 1) = absL
-      sumAbs = sa; sumSq = sq; sumSqRecon = sr
+      sumAbs = sa; sumSqRecon = sr
     }
   }
 

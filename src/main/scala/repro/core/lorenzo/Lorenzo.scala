@@ -294,12 +294,8 @@ object Lorenzo {
         i += 1
       }
       val cnt = n.toLong
-      val encodedBits =
-        if (codes.isEmpty) 0.0
-        else Lossless.compress(Huffman.encode(codes)).length * 8.0
       LorenzoTrial(order, cnt, if (cnt == 0) 0 else sumAbs / cnt,
-        if (cnt == 0) 0 else sumSqRecon / cnt,
-        encodedBits + 36.0 * nOutliers)
+        if (cnt == 0) 0 else sumSqRecon / cnt, LinearQuantizer.payloadBits(codes, nOutliers))
     }
 
   private val Radius = repro.core.interp.LevelInterp.Radius

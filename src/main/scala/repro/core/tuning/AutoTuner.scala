@@ -35,7 +35,6 @@ object AutoTuner {
       ebTuning: Boolean,
       anchorStride: Int, // 0 = SZ3-style (single-corner "anchor", i.e. stride >= max dim)
       fvfi: Boolean,
-      dimOrderCandidates: Boolean,
   )
 
   object Features {
@@ -44,7 +43,7 @@ object AutoTuner {
       splines = Seq(Spline.Kind.Linear, Spline.Kind.NotAKnot, Spline.Kind.Natural),
       allowMultiDim = true, allowSameLevel = true, allowFreezing = true,
       allowLorenzo = true, allowBlockwise = true, ebTuning = true,
-      anchorStride = 32, fvfi = true, dimOrderCandidates = true)
+      anchorStride = 32, fvfi = true)
 
     /** QoZ 1.1: anchors + per-level selection + α/β tuning; no natural
       * spline, no multi-dim, no same-level, no freezing, no Lorenzo, no
@@ -55,7 +54,7 @@ object AutoTuner {
       splines = Seq(Spline.Kind.Linear, Spline.Kind.NotAKnot),
       allowMultiDim = false, allowSameLevel = false, allowFreezing = false,
       allowLorenzo = false, allowBlockwise = false, ebTuning = true,
-      anchorStride = 32, fvfi = false, dimOrderCandidates = true)
+      anchorStride = 32, fvfi = false)
 
     /** SZ3.1: no anchors (full hierarchy from the corner), uniform level
       * error bound, per-level linear/cubic selection, Lorenzo alternative.
@@ -64,7 +63,7 @@ object AutoTuner {
       splines = Seq(Spline.Kind.Linear, Spline.Kind.NotAKnot),
       allowMultiDim = false, allowSameLevel = false, allowFreezing = false,
       allowLorenzo = true, allowBlockwise = false, ebTuning = false,
-      anchorStride = 0, fvfi = false, dimOrderCandidates = true)
+      anchorStride = 0, fvfi = false)
   }
 
   /** Tuning outcome: either a Lorenzo order or a full interpolation plan. */
@@ -210,12 +209,11 @@ object AutoTuner {
     }
   }
 
-  /** Candidate per-level configurations for the global tuning (§6.2). */
+  /** Candidate per-level configurations for the global tuning (§6.2); 1D-style
+    * candidates try both dimension orders.
+    */
   private def levelCandidates(features: Features, activeDims: Array[Int]): Seq[LevelConfig] = {
-    val orders: Seq[Array[Int]] =
-      if (features.dimOrderCandidates && activeDims.length > 1)
-        Seq(activeDims, activeDims.reverse)
-      else Seq(activeDims)
+    val orders = if (activeDims.length > 1) Seq(activeDims, activeDims.reverse) else Seq(activeDims)
     features.splines.flatMap { spline =>
       val oneD = for {
         o <- orders

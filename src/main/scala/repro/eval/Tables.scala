@@ -5,7 +5,7 @@ import repro.sparklayer.TransferSim
 
 /** Renders each paper table with our measured numbers next to the
   * published ones. The bench suites (bench/src/test) call these, print
-  * the output (captured into bench_output.txt), and assert the shape
+  * the output to the console of `sbt "bench/test"`, and assert the shape
   * properties the paper claims; EXPERIMENTS.md records the comparison.
   */
 object Tables {

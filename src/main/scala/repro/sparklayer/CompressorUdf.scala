@@ -2,7 +2,7 @@ package repro.sparklayer
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.{Compressor, GridData}
+import repro.core.{Compressor, GridData, Metrics}
 
 /** Per-partition compression/decompression over block DataFrames, plus
   * Parquet persistence of the compressed binary column and DataFrame
@@ -61,7 +61,8 @@ object CompressorUdf {
 
   /** Per-(dataset, field) quality/size summary computed as a DataFrame
     * aggregation joining decompressed blocks against the originals:
-    * compressed size, raw size, max point-wise error and MSE.
+    * compressed size, raw size, max point-wise error (NaN when either
+    * side holds a NaN) and MSE.
     */
   def qualitySummary(orig: Dataset[Block], decomp: Dataset[Block],
                      compressed: Dataset[CompressedBlock]): DataFrame = {
@@ -71,16 +72,14 @@ object CompressorUdf {
         orig("dataset") === decomp("dataset") && orig("field") === decomp("field") &&
         orig("blockId") === decomp("blockId"))
       .map { case (a, b) =>
-        var maxErr = 0.0
         var sumSq = 0.0
         var i = 0
         while (i < a.values.length) {
-          val d = math.abs(a.values(i) - b.values(i))
-          if (d > maxErr) maxErr = d
+          val d = a.values(i) - b.values(i)
           sumSq += d * d
           i += 1
         }
-        (a.dataset, a.field, a.values.length.toLong, maxErr, sumSq)
+        (a.dataset, a.field, a.values.length.toLong, Metrics.maxAbsError(a.values, b.values), sumSq)
       }
       .toDF("dataset", "field", "points", "maxErr", "sumSq")
       .groupBy("dataset", "field")

@@ -36,7 +36,7 @@ final class TthreshLike extends Compressor {
     var core = grid.data.clone()
     var curDims = dims.clone()
     for (mode <- 0 until nd)
-      core = modeProduct(core, curDims, mode, factors(mode), transpose = true, dims(mode))
+      core = modeProduct(core, curDims, mode, factors(mode), transpose = true)
 
     // Threshold: drop smallest coefficients until the dropped energy hits
     // the RMSE budget (absEb/2)², leaving absEb/2 for quantization.
@@ -74,7 +74,8 @@ final class TthreshLike extends Compressor {
     // or the corrections would not guarantee the bound.
     val f32: Array[Array[Array[Double]]] = Array.tabulate(nd)(mode =>
       Array.tabulate(dims(mode), ranks(mode))((i, r) => factors(mode)(i)(r).toFloat.toDouble))
-    val recon = reconstruct(codes, dims, ranks, f32, step)
+    val coreBox = extractBox(codes, dims, ranks)
+    val recon = reconstruct(coreBox, dims, ranks, f32, step)
     val corrections = OutlierCorrection.encode(grid.data, recon, absEb)
 
     // Serialize: dims, eb, step, ranks, truncated core codes, fp32 factors.
@@ -84,7 +85,6 @@ final class TthreshLike extends Compressor {
     w.writeDouble(absEb)
     w.writeDouble(step)
     ranks.foreach(r => w.writeVarInt(r.toLong))
-    val coreBox = extractBox(codes, dims, ranks)
     w.writeBlob(CoeffCodec.encode(coreBox))
     for (mode <- 0 until nd) {
       var r = 0
@@ -117,9 +117,7 @@ final class TthreshLike extends Compressor {
       u
     }
     val corrections = r.readBlob()
-    // place the core box codes into a full-dims code array
-    val codes = placeBox(coreBox, dims, ranks)
-    val recon = reconstruct(codes, dims, ranks, factors, step)
+    val recon = reconstruct(coreBox, dims, ranks, factors, step)
     OutlierCorrection.apply(recon, corrections, absEb)
     new GridData(dims, recon)
   }
@@ -155,17 +153,14 @@ final class TthreshLike extends Compressor {
     g
   }
 
-  /** Mode product Y = X ×_mode M (or Mᵀ): contracts the mode-`mode`
-    * fiber of X (length inLen) with M to produce fibers of length outLen.
-    * `factors` is indexed (row, col) = (dim index, eigenvector index);
+  /** Mode product Y = X ×_mode M (or Mᵀ): contracts each mode-`mode`
+    * fiber of X with M. `m` is indexed (row, col) = (dim index, eigenvector index);
     * transpose=true computes Σ_i M(i)(r) x_i (projection onto basis),
     * transpose=false computes Σ_r M(i)(r) c_r (synthesis).
     */
   private def modeProduct(x: Array[Double], curDims: Array[Int], mode: Int,
-                          m: Array[Array[Double]], transpose: Boolean, inLen: Int): Array[Double] = {
+                          m: Array[Array[Double]], transpose: Boolean): Array[Double] = {
     val nIn = curDims(mode)
-    val nOut = if (transpose) m(0).length min nIn else m.length
-    require(nIn == (if (transpose) nIn else m(0).length) || true)
     val outDims = curDims.clone(); outDims(mode) = if (transpose) m(0).length else m.length
     val inGrid = new GridData(curDims, x)
     val stride = inGrid.strides(mode)
@@ -173,11 +168,9 @@ final class TthreshLike extends Compressor {
     val out = new Array[Double](outSize)
     val outGrid = new GridData(outDims, out)
     val outStride = outGrid.strides(mode)
-    val nFibers = x.length / nIn
     // enumerate fibers by iterating all indices with coord(mode) == 0
     val n = x.length
     var idx = 0
-    var outBase = 0
     val inVec = new Array[Double](nIn)
     val nOutLen = outDims(mode)
     while (idx < n) {
@@ -260,38 +253,18 @@ final class TthreshLike extends Compressor {
     out
   }
 
-  private def placeBox(coreBox: Array[Int], dims: Array[Int], ranks: Array[Int]): Array[Int] = {
-    val g = new GridData(dims, new Array[Double](dims.map(_.toLong).product.toInt))
-    val box = new GridData(ranks, new Array[Double](coreBox.length))
-    val codes = new Array[Int](g.size)
-    val c = new Array[Int](dims.length)
-    var o = 0
-    while (o < coreBox.length) {
-      var rem = o
-      var k = 0
-      while (k < dims.length) { c(k) = rem / box.strides(k); rem %= box.strides(k); k += 1 }
-      codes(g.index(c)) = coreBox(o)
-      o += 1
-    }
-    codes
-  }
-
-  /** Synthesis: dequantized core (ranks box) expanded through the factor
-    * matrices back to the full grid.
+  /** Synthesis: the dequantized core box (`ranks` extents) expanded
+    * through the factor matrices back to the full grid.
     */
-  private def reconstruct(codes: Array[Int], dims: Array[Int], ranks: Array[Int],
+  private def reconstruct(coreBox: Array[Int], dims: Array[Int], ranks: Array[Int],
                           factors: Array[Array[Array[Double]]], step: Double): Array[Double] = {
     val nd = dims.length
-    // start from the ranks-box core
-    var cur = {
-      val box = extractBox(codes, dims, ranks)
-      box.map(_.toDouble * step)
-    }
+    var cur = coreBox.map(_.toDouble * step)
     val curDims = ranks.clone()
     for (mode <- 0 until nd) {
       // synthesis with truncated factor (dims(mode) × ranks(mode))
       val m = Array.tabulate(dims(mode), curDims(mode))((i, r) => factors(mode)(i)(r))
-      cur = modeProduct(cur, curDims, mode, m, transpose = false, curDims(mode))
+      cur = modeProduct(cur, curDims, mode, m, transpose = false)
     }
     cur
   }

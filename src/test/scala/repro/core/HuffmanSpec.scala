@@ -48,6 +48,8 @@ class HuffmanSpec extends AnyFunSuite {
 
   test("negative symbols rejected") {
     intercept[IllegalArgumentException](Huffman.encode(Array(-1)))
+    // so are symbols at or above 2^21
+    intercept[IllegalArgumentException](Huffman.encode(Array(1, 1 << 21)))
   }
 
   test("encoded size tracks entropy for geometric distribution") {

@@ -5,78 +5,76 @@ import scala.util.Random
 
 class QuantizerSpec extends AnyFunSuite {
 
+  private val R = 32768
+
+  /** One compression step: the code, and the value decompression rebuilds. */
+  private def quantize(value: Double, pred: Double, eb: Double): (Int, Double) = {
+    val code = LinearQuantizer.code(value, pred, eb, R)
+    (code, if (code != 0) LinearQuantizer.reconstruct(code, pred, eb, R) else LinearQuantizer.escaped(value))
+  }
+
+  /** Decompression: each code's reconstruction, or the next stored outlier. */
+  private def replay(preds: Seq[Double], codes: Seq[Int], outliers: Seq[Double], eb: Double): Seq[Double] = {
+    val outs = outliers.iterator
+    preds.zip(codes).map { case (p, c) => if (c == 0) outs.next() else LinearQuantizer.reconstruct(c, p, eb, R) }
+  }
+
   test("reconstruction respects the error bound") {
     val eb = 0.01
-    val q = new LinearQuantizer(eb)
     val rnd = new Random(1)
     for (_ <- 0 until 10000) {
       val value = (rnd.nextDouble() * 2 - 1).toFloat.toDouble
       val pred = value + rnd.nextGaussian() * 0.05
-      val recon = q.quantize(value, pred)
+      val (_, recon) = quantize(value, pred, eb)
       assert(math.abs(recon - value) <= eb, s"|$recon - $value| > $eb")
     }
   }
 
   test("dequantizer replays compression exactly") {
     val eb = 0.001
-    val q = new LinearQuantizer(eb)
     val rnd = new Random(2)
-    val pairs = Array.fill(5000) {
+    val steps = Seq.fill(5000) {
       val value = (rnd.nextDouble() * 10).toFloat.toDouble
       val pred = value + rnd.nextGaussian() * 0.01
-      (value, pred, q.quantize(value, pred))
+      val (code, recon) = quantize(value, pred, eb)
+      (pred, code, recon)
     }
-    val dq = new LinearDequantizer(eb, q.radius, q.codesArray, q.outliersArray)
-    pairs.foreach { case (_, pred, recon) => assert(dq.next(pred) == recon) }
+    val outliers = steps.collect { case (_, 0, recon) => recon }
+    assert(replay(steps.map(_._1), steps.map(_._2), outliers, eb) == steps.map(_._3))
   }
 
   test("far-off predictions escape to outliers with code 0") {
-    val eb = 1e-6
-    val q = new LinearQuantizer(eb)
-    val recon = q.quantize(1.0, 500.0) // way outside radius*2eb
-    assert(q.codesArray.last == 0)
+    val (code, recon) = quantize(1.0, 500.0, 1e-6) // way outside radius*2eb
+    assert(code == 0)
     assert(recon == 1.0f.toDouble)
-    assert(q.outliersArray.toSeq == Seq(1.0))
   }
 
   test("perfect prediction yields the radius code") {
-    val q = new LinearQuantizer(0.01)
-    q.quantize(3.0, 3.0)
-    assert(q.codesArray.toSeq == Seq(q.radius))
+    assert(LinearQuantizer.code(3.0, 3.0, 0.01, R) == R)
   }
 
   test("code symmetry around radius") {
     val eb = 0.5
-    val q = new LinearQuantizer(eb)
-    q.quantize(1.0, 0.0)  // diff = 1 = 2eb → q=1
-    q.quantize(-1.0, 0.0) // q=-1
-    assert(q.codesArray.toSeq == Seq(q.radius + 1, q.radius - 1))
-  }
-
-  test("zero or negative error bound rejected") {
-    intercept[IllegalArgumentException](new LinearQuantizer(0.0))
-    intercept[IllegalArgumentException](new LinearQuantizer(-1.0))
+    assert(LinearQuantizer.code(1.0, 0.0, eb, R) == R + 1)  // diff = 1 = 2eb → q=1
+    assert(LinearQuantizer.code(-1.0, 0.0, eb, R) == R - 1) // q=-1
   }
 
   test("bound holds at bin edges (fp rounding guard)") {
     val eb = 0.1
-    val q = new LinearQuantizer(eb)
     // values exactly at multiples of eb relative to pred
     for (k <- -20 to 20) {
       val value = (k * eb).toFloat.toDouble
-      val recon = q.quantize(value, 0.0)
+      val (_, recon) = quantize(value, 0.0, eb)
       assert(math.abs(recon - value) <= eb + 1e-15)
     }
   }
 
   test("dequantizer outlier replay") {
     val eb = 1e-9
-    val q = new LinearQuantizer(eb)
-    val r1 = q.quantize(5.0f.toDouble, 0.0) // escapes
-    val r2 = q.quantize(0.0, 0.0)           // exact
-    val dq = new LinearDequantizer(eb, q.radius, q.codesArray, q.outliersArray)
-    assert(dq.next(0.0) == r1)
-    assert(dq.next(0.0) == r2)
+    val (c1, r1) = quantize(5.0f.toDouble, 0.0, eb) // escapes
+    val (c2, r2) = quantize(0.0, 0.0, eb)           // exact
+    assert(c1 == 0)
+    assert(replay(Seq(0.0, 0.0), Seq(c1, c2), Seq(r1), eb) == Seq(r1, r2))
   }
 }
 

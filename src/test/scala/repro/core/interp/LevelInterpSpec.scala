@@ -256,4 +256,17 @@ class LevelInterpSpec extends AnyFunSuite {
       assert(math.abs(a - b) < 1e-6)
     }
   }
+
+  test("InterpPlan rejects bad level error bounds") {
+    val cfg = LevelConfig(Spline.Kind.Linear, Paradigm.OneD(Array(0, 1)), sameLevel = false)
+    for (eb <- Seq(0.0, -1.0, Double.NaN, Double.PositiveInfinity))
+      intercept[IllegalArgumentException](InterpPlan.uniform(Array(8, 8), 4, cfg, eb))
+    // deserialize reads the bounds from the stream: a zeroed one is rejected too
+    def double(v: Double): Array[Byte] = { val w = new repro.core.ByteWriter(); w.writeDouble(v); w.toBytes }
+    val w = new repro.core.ByteWriter()
+    InterpPlan.serialize(w, InterpPlan.uniform(Array(8, 8), 4, cfg, 1e-3))
+    val bytes = w.toBytes
+    double(0.0).copyToArray(bytes, bytes.indexOfSlice(double(1e-3)))
+    intercept[IllegalArgumentException](InterpPlan.deserialize(new repro.core.ByteReader(bytes)))
+  }
 }

@@ -105,6 +105,20 @@ class SparkLayerSpec extends SparkSpec {
       "per_block" -> perBlock)
   }
 
+  test("qualitySummary reports a NaN max error for a NaN in a decompressed block") {
+    import spark.implicits._
+    val grid = SciData.generate(ref)
+    val absEb = Compressor.absoluteBound(grid, 1e-3)
+    val blocks = BlockStore.blocksDS(spark, ref, blockSide).cache()
+    val comp = CompressorUdf.compressBlocks(blocks, ZfpLike(), absEb)
+    val decomp = CompressorUdf.decompressBlocks(comp, ZfpLike()).map { b =>
+      if (b.blockId != 1) b
+      else { val v = b.values.clone(); v(v.length / 2) = Double.NaN; b.copy(values = v) }
+    }
+    val maxErr = CompressorUdf.qualitySummary(blocks, decomp, comp).select($"maxErr").as[Double].collect()
+    assert(maxErr.length == 1 && maxErr.head.isNaN, s"maxErr ${maxErr.mkString(", ")}")
+  }
+
   test("block size accounting: sum of block points equals field points") {
     import spark.implicits._
     val blocks = BlockStore.blocksDS(spark, ref, blockSide)
