@@ -168,6 +168,60 @@ object GoldenStreams {
     )
     conformance ++ mirandaBounds ++ hpezAll ++ noFvfi ++ psnr ++ small ++ lorenzoCases ++ lorenzoDirect ++ plans ++ special
   }
+
+  /** `xs` in a seeded Fisher-Yates order. */
+  private def shuffled(xs: Array[Int], seed: Long): Array[Int] = {
+    val rnd = new scala.util.Random(seed)
+    val a = xs.clone()
+    var i = a.length - 1
+    while (i > 0) {
+      val j = rnd.nextInt(i + 1)
+      val t = a(i); a(i) = a(j); a(j) = t
+      i -= 1
+    }
+    a
+  }
+
+  /** `counts(k)` copies of `syms(k)` for every k, shuffled. */
+  private def histogram(syms: Array[Int], counts: Array[Int], seed: Long): Array[Int] = {
+    val out = new Array[Int](counts.sum)
+    var n = 0
+    for (k <- syms.indices; _ <- 0 until counts(k)) { out(n) = syms(k); n += 1 }
+    shuffled(out, seed)
+  }
+
+  private val R = LevelInterp.Radius
+
+  /** Direct `Huffman.encode` inputs whose streams are pinned: the codec
+    * streams alone never reach deep ties, codes longer than 32 bits or the
+    * extremes of the alphabet.
+    */
+  val huffmanCases: Seq[(String, () => Array[Int])] = Seq(
+    "empty" -> (() => Array.emptyIntArray),
+    "one symbol" -> (() => Array.fill(1000)(R)),
+    "one occurrence of symbol 0" -> (() => Array(0)),
+    "two symbols" -> (() => histogram(Array(R - 1, R + 1), Array(777, 333), 1)),
+    "ties: 1000 symbols of count 7" -> (() => histogram(Array.range(0, 1000), Array.fill(1000)(7), 2)),
+    "ties: three count classes over 300 symbols" ->
+      (() => histogram(Array.tabulate(300)(s => 5000 + 3 * s), Array.tabulate(300)(s => 1 + s % 3), 3)),
+    "ties: symmetric counts around radius" ->
+      (() => histogram(Array.range(R - 50, R + 51), Array.tabulate(101)(k => 60 - math.abs(k - 50)), 4)),
+    "ties: power-of-two counts" ->
+      (() => histogram(Array.range(100, 164), Array.tabulate(64)(k => 1 << (k % 8)), 5)),
+    // Fibonacci counts give the deepest tree for their total: 34 symbols
+    // reach 33-bit codes, which cross 64-bit words of the payload.
+    "fibonacci counts, 33-bit codes" -> (() => {
+      val fib = Iterator.iterate((1, 1)) { case (a, b) => (b, a + b) }.map(_._1).take(34).toArray
+      histogram(Array.tabulate(34)(k => 7 * k + 2), fib, 6)
+    }),
+    "2^16 distinct symbols around radius" -> (() =>
+      histogram(Array.range(R - 32768, R + 32768), Array.tabulate(65536)(s => 1 + 2000 / (1 + math.abs(s - 32768))), 7)),
+    "symbol 2^21-1" -> (() => histogram(Array(0, 5, R, (1 << 21) - 1), Array(40, 3, 100, 17), 8)),
+    "2^20 + 12345 quantizer-like symbols" -> (() => {
+      val rnd = new scala.util.Random(9)
+      Array.fill((1 << 20) + 12345)(if (rnd.nextInt(500) == 0) 0 else R + math.round(rnd.nextGaussian() * 4).toInt)
+    }),
+  )
 }
 
 /** Byte-identity proof for refactors of the prediction traversal and the
@@ -200,6 +254,50 @@ class GoldenStreamSpec extends AnyFunSuite {
       assert(gridHash(grid) == gridHash0, "decompressed grid changed")
     }
   }
+
+  test("the Huffman golden table covers every case exactly once") {
+    assert(huffmanCases.map(_._1).distinct.size == huffmanCases.size)
+    assert(huffmanCases.map(_._1).toSet == HuffmanExpected.keySet)
+  }
+
+  for ((name, symbols) <- huffmanCases) {
+    test(s"golden: huffman $name") {
+      val xs = symbols()
+      val bytes = Huffman.encode(xs)
+      assert(sha256(bytes) == HuffmanExpected(name), "stream bytes changed")
+      assert(Huffman.decode(bytes) sameElements xs, "decoded symbols changed")
+    }
+  }
+
+  /** SHA-256 of `Huffman.encode` per case, computed with the encoder that
+    * built its tree from boxed nodes and a `PriorityQueue` of tuples.
+    */
+  private lazy val HuffmanExpected: Map[String, String] = Map(
+    "empty" ->
+      "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+    "one symbol" ->
+      "470a38916908f1b3548550ceaf244a1bc2acf7169f72a7692e77c32692b85112",
+    "one occurrence of symbol 0" ->
+      "43e1994655cf5498f12709cad4b2179008c8128e1d7cf851893197a7f578b625",
+    "two symbols" ->
+      "60721f5e71133570e5d5ef4d822256a39cdb9b0f45ffa57085d87c27fd0e01bd",
+    "ties: 1000 symbols of count 7" ->
+      "1a0fb7e8e1f1a688df3897cb7e34c4bd9bfcd47b9f9f729c919eab430f986b00",
+    "ties: three count classes over 300 symbols" ->
+      "eac04a177fe7041230b9e666d13070915fd38ab33d2123edd35b1245d3e516b8",
+    "ties: symmetric counts around radius" ->
+      "489edfedda264d437f31328985553a597b773435b21c117bc17333d86e740293",
+    "ties: power-of-two counts" ->
+      "c4a582f2b2ff17ca0290e21ea2ab6ab5482a978fd48b882037608fb071733fc3",
+    "fibonacci counts, 33-bit codes" ->
+      "50ba0a373972a28e67e4f801b374c38e20f6ac50ed790620d681290b09241f01",
+    "2^16 distinct symbols around radius" ->
+      "2133f3fbc7997576a232ea21afa586840c21b490b6ce6973b64bdf0de8c7ab44",
+    "symbol 2^21-1" ->
+      "05c924784f54d4555d538f161204020e14fe6e5a73a272870a3daca0408560e8",
+    "2^20 + 12345 quantizer-like symbols" ->
+      "b7103cd94ce7ddf775e72fadab8508d48eb4509fe5ddc499dd622582ebbc747e"
+  )
 
   private lazy val Expected: Map[String, (String, String)] = Map(
     "SZ 3.1 on CESM/CLDHGH(8x27x54) at 0.001" ->
