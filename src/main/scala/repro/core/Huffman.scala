@@ -13,48 +13,93 @@ import scala.collection.mutable
   */
 object Huffman {
 
-  /** Encodes `symbols` into a self-describing byte blob. */
+  /** Encodes `symbols` into a self-describing byte blob: the symbol
+    * count, the code table as (symbol varint, length byte) in ascending
+    * symbol order, then the payload blob, codes packed LSB-first.
+    */
   def encode(symbols: Array[Int]): Array[Byte] = {
-    val w = new ByteWriter()
-    w.writeVarInt(symbols.length.toLong)
-    if (symbols.isEmpty) return w.toBytes
+    val n = symbols.length
+    if (n == 0) return Array[Byte](0)
 
-    // Frequency table in ascending symbol order: that order breaks the
-    // heap's ties in `codeLengths`, and so decides the code lengths.
-    var maxSym = 0
+    var lo = Int.MaxValue
+    var hi = Int.MinValue
     var i = 0
-    while (i < symbols.length) {
+    while (i < n) {
       val s = symbols(i)
-      require(s >= 0 && s < MaxSymbol, s"symbol $s outside [0, $MaxSymbol)")
-      if (s > maxSym) maxSym = s
+      if (s < lo) lo = s
+      if (s > hi) hi = s
       i += 1
     }
-    val counts = new Array[Long](maxSym + 1)
+    require(lo >= 0 && hi < MaxSymbol, s"symbol ${if (lo < 0) lo else hi} outside [0, $MaxSymbol)")
+    val counts = new Array[Int](hi - lo + 1)
     i = 0
-    while (i < symbols.length) { counts(symbols(i)) += 1; i += 1 }
-    val freq = mutable.LongMap.empty[Long]
+    while (i < n) { counts(symbols(i) - lo) += 1; i += 1 }
+    var m = 0
     i = 0
-    while (i <= maxSym) { if (counts(i) > 0) freq.update(i.toLong, counts(i)); i += 1 }
+    while (i < counts.length) { if (counts(i) > 0) m += 1; i += 1 }
+    val syms = new Array[Int](m)
+    m = 0
+    i = 0
+    while (i < counts.length) { if (counts(i) > 0) { syms(m) = lo + i; m += 1 }; i += 1 }
+    val lens = codeLengths(syms, counts, lo)
 
-    val lengths = codeLengths(freq)
-    val syms = lengths.keys.toArray.sorted
-    // Table: count, then (symbol varint, length byte) in symbol order.
-    w.writeVarInt(syms.length.toLong)
-    syms.foreach { s => w.writeVarInt(s); w.writeByte(lengths(s)) }
+    // Canonical codes: symbols in (length, symbol) order take consecutive
+    // codes, so each length's next code starts where the shorter ones end.
+    val maxLen = lens.max
+    val next = new Array[Long](maxLen + 1)
+    i = 0
+    while (i < m) { next(lens(i)) += 1; i += 1 }
+    var code = 0L
+    var len = 1
+    while (len <= maxLen) { val c = next(len); next(len) = code; code = (code + c) << 1; len += 1 }
 
-    // Bit-reversed codes: BitWriter is LSB-first, so writing the reversed
-    // code emits the canonical code MSB-first. A code over fewer than 2^31
-    // symbols is at most 45 bits deep, within one `writeBits`.
-    val revArr = new Array[Long](maxSym + 1)
-    val lenArr = new Array[Int](maxSym + 1)
-    canonicalCodes(syms.map(s => (s, lengths(s)))).foreach { case (sym, (code, len)) =>
-      revArr(sym.toInt) = reverse(code, len); lenArr(sym.toInt) = len
+    // Per symbol offset: the code bit-reversed, so that LSB-first packing
+    // emits it MSB-first, shifted over its 6-bit length. A code over fewer
+    // than 2^31 symbols is at most 45 bits deep.
+    val table = new Array[Long](counts.length)
+    val header = new ByteWriter(16 + 4 * m)
+    header.writeVarInt(n.toLong)
+    header.writeVarInt(m.toLong)
+    var bits = 0L
+    i = 0
+    while (i < m) {
+      val l = lens(i)
+      table(syms(i) - lo) = (reverse(next(l), l) << 6) | l
+      next(l) += 1
+      bits += counts(syms(i) - lo).toLong * l
+      header.writeVarInt(syms(i).toLong)
+      header.writeByte(l)
+      i += 1
     }
-    val bw = new BitWriter(math.max(1024, symbols.length / 2))
-    i = 0
-    while (i < symbols.length) { val s = symbols(i); bw.writeBits(revArr(s), lenArr(s)); i += 1 }
-    w.writeBlob(bw.toBytes)
-    w.toBytes
+    val payloadBytes = ((bits + 7) >>> 3).toInt
+    header.writeVarInt(payloadBytes.toLong)
+    val head = header.toBytes
+    val out = java.util.Arrays.copyOf(head, head.length + payloadBytes)
+    // A lone symbol's code is one 0 bit: its payload is already all zeros.
+    if (m > 1) {
+      val words = java.nio.ByteBuffer.wrap(out).order(java.nio.ByteOrder.LITTLE_ENDIAN)
+      var acc = 0L // pending bits, oldest lowest
+      var nbits = 0 // bits in `acc`
+      var pos = head.length
+      i = 0
+      while (i < n) {
+        val e = table(symbols(i) - lo)
+        val l = (e & 63).toInt
+        val c = e >>> 6
+        acc |= c << nbits
+        nbits += l
+        if (nbits >= 64) {
+          // The word is full; the code's top `nbits` bits did not fit.
+          words.putLong(pos, acc)
+          pos += 8
+          nbits -= 64
+          acc = c >>> (l - nbits)
+        }
+        i += 1
+      }
+      while (nbits > 0) { out(pos) = acc.toByte; acc >>>= 8; nbits -= 8; pos += 1 }
+    }
+    out
   }
 
   /** Symbols [[encode]] accepts are below this bound; every caller's are
@@ -218,54 +263,84 @@ object Huffman {
   /** The low `len` bits of `v` in reverse order. */
   private def reverse(v: Long, len: Int): Long = java.lang.Long.reverse(v) >>> (64 - len)
 
-  /** Huffman code lengths via the standard two-queue/heap construction. */
-  private def codeLengths(freq: mutable.LongMap[Long]): mutable.LongMap[Int] = {
-    val lengths = mutable.LongMap.empty[Int]
-    if (freq.size == 1) { lengths.update(freq.keys.head, 1); return lengths }
+  /** Huffman code length of each of `syms` (ascending, each seen
+    * `counts(sym - lo)` times), aligned with `syms`.
+    *
+    * Equal weights leave the heap in an order set by heap position, so the
+    * lengths depend on the order in which the leaves enter it. That order
+    * is `mutable.LongMap` iteration order over the symbols inserted in
+    * ascending order — hash-slot order, not ascending — which the streams
+    * written so far were coded with; a map of the distinct symbols
+    * reproduces it.
+    */
+  private def codeLengths(syms: Array[Int], counts: Array[Int], lo: Int): Array[Int] = {
+    val m = syms.length
+    val lens = new Array[Int](m)
+    if (m == 1) { lens(0) = 1; return lens }
+    val slots = mutable.LongMap.empty[Int]
+    var i = 0
+    while (i < m) { slots.update(syms(i).toLong, i); i += 1 }
 
-    // Heap of (weight, node). Leaves carry the symbol; internal nodes carry
-    // children indices into `nodes`.
-    final case class Node(sym: Long, left: Int, right: Int)
-    val nodes = mutable.ArrayBuffer.empty[Node]
-    val pq = mutable.PriorityQueue.empty[(Long, Int)](Ordering.by[(Long, Int), Long](_._1).reverse)
-    freq.foreach { case (s, f) =>
-      nodes += Node(s, -1, -1)
-      pq.enqueue((f, nodes.length - 1))
+    // Node ids: leaves 0 until m in heap-entry order, internal nodes from m
+    // on in merge order, so a parent's id exceeds its children's.
+    val leafSym = new Array[Int](m) // index into `syms` of each leaf
+    val heap = new Heap(m)
+    var leaf = 0
+    slots.foreachValue { si =>
+      leafSym(leaf) = si
+      heap.push(counts(syms(si) - lo).toLong, leaf)
+      leaf += 1
     }
-    while (pq.size > 1) {
-      val (f1, n1) = pq.dequeue()
-      val (f2, n2) = pq.dequeue()
-      nodes += Node(-1, n1, n2)
-      pq.enqueue((f1 + f2, nodes.length - 1))
+    val parent = new Array[Int](2 * m - 1)
+    var id = m
+    while (heap.size > 1) {
+      val w1 = heap.topWeight; parent(heap.topNode) = id; heap.pop()
+      val w2 = heap.topWeight; parent(heap.topNode) = id; heap.pop()
+      heap.push(w1 + w2, id)
+      id += 1
     }
-    val root = pq.dequeue()._2
-    // Iterative DFS assigning depths.
-    val stack = mutable.ArrayBuffer[(Int, Int)]((root, 0))
-    while (stack.nonEmpty) {
-      val (ni, depth) = stack.remove(stack.length - 1)
-      val node = nodes(ni)
-      if (node.left < 0) lengths.update(node.sym, math.max(1, depth))
-      else {
-        stack += ((node.left, depth + 1))
-        stack += ((node.right, depth + 1))
-      }
-    }
-    lengths
+    val depth = new Array[Int](2 * m - 1) // the root, id 2m − 2, has depth 0
+    i = 2 * m - 3
+    while (i >= 0) { depth(i) = depth(parent(i)) + 1; i -= 1 }
+    i = 0
+    while (i < m) { lens(leafSym(i)) = depth(i); i += 1 }
+    lens
   }
 
-  /** Canonical (code, length) per symbol given (symbol, length) sorted by symbol. */
-  private def canonicalCodes(entries: Array[(Long, Int)]): mutable.LongMap[(Long, Int)] = {
-    // Sort by (length, symbol); assign increasing codes.
-    val sorted = entries.sortBy { case (s, l) => (l, s) }
-    val out = mutable.LongMap.empty[(Long, Int)]
-    var code = 0L
-    var prevLen = 0
-    sorted.foreach { case (s, l) =>
-      if (prevLen != 0) code = (code + 1) << (l - prevLen)
-      else code = 0L
-      out.update(s, (code, l))
-      prevLen = l
+  /** Min-heap of (weight, node id) that sifts exactly as
+    * `mutable.PriorityQueue` under a reversed weight ordering: 1-based, an
+    * entry moves past another only when strictly lighter, and of two
+    * equal children the left one rises.
+    */
+  private final class Heap(capacity: Int) {
+    private val weight = new Array[Long](capacity + 1)
+    private val node = new Array[Int](capacity + 1)
+    var size = 0
+
+    def topWeight: Long = weight(1)
+    def topNode: Int = node(1)
+
+    def push(w: Long, id: Int): Unit = {
+      size += 1
+      var k = size
+      while (k > 1 && weight(k >> 1) > w) { weight(k) = weight(k >> 1); node(k) = node(k >> 1); k >>= 1 }
+      weight(k) = w; node(k) = id
     }
-    out
+
+    /** Removes the top: the last entry moves to the root and sifts down. */
+    def pop(): Unit = {
+      val w = weight(size)
+      val id = node(size)
+      size -= 1
+      var k = 1
+      var done = false
+      while (!done && 2 * k <= size) {
+        var j = 2 * k
+        if (j < size && weight(j) > weight(j + 1)) j += 1
+        if (w <= weight(j)) done = true
+        else { weight(k) = weight(j); node(k) = node(j); k = j }
+      }
+      weight(k) = w; node(k) = id
+    }
   }
 }

@@ -133,10 +133,10 @@ object LevelInterp {
     val anchorIdx = anchorIndices(work, plan)
     var i = 0
     while (i < anchorIdx.length) { work.data(anchorIdx(i)) = work.data(anchorIdx(i)).toFloat.toDouble; i += 1 }
-    val t = new TrialTraversal(work, plan)
+    val t = new TrialTraversal(work, plan, encode)
     t.run()
     val estPayloadBits =
-      if (encode) LinearQuantizer.payloadBits(t.quant.codesArray, t.quant.outliersArray.length)
+      if (encode) LinearQuantizer.payloadBits(t.quant.codesArray, t.quant.nOutliers)
       else Double.NaN
     TrialStats(t.count, t.sumAbs, t.sumSqRecon, estPayloadBits, anchorIdx.length, t.levelAbs, t.levelCnt)
   }
@@ -144,18 +144,25 @@ object LevelInterp {
   // ---------------------------------------------------------------------
   // Quantizer
 
-  /** [[LinearQuantizer]] at the current level's bound, collecting the codes
-    * and outliers of the compress and trial loops.
+  /** [[LinearQuantizer]] at the current level's bound, counting outliers.
+    * Compression keeps the codes and outliers; a trial keeps its codes only
+    * when they are to be encoded, and never the outlier values.
     */
-  private final class StreamQuantizer(expectedCodes: Int) {
-    private val codes = new IntBuf(expectedCodes)
-    private val outs = new DblBuf()
+  private final class StreamQuantizer(expectedCodes: Int, keepCodes: Boolean, keepOutliers: Boolean) {
+    private val codes = if (keepCodes) new IntBuf(expectedCodes) else null
+    private val outs = if (keepOutliers) new DblBuf() else null
+    var nOutliers = 0
     var eb = 1.0
     def quantize(value: Double, pred: Double): Double = {
       val code = LinearQuantizer.code(value, pred, eb, Radius)
-      codes += code
+      if (keepCodes) codes += code
       if (code != 0) LinearQuantizer.reconstruct(code, pred, eb, Radius)
-      else { val v = LinearQuantizer.escaped(value); outs += v; v }
+      else {
+        val v = LinearQuantizer.escaped(value)
+        if (keepOutliers) outs += v
+        nOutliers += 1
+        v
+      }
     }
     def codesArray: Array[Int] = codes.toArray
     def outliersArray: Array[Double] = outs.toArray
@@ -166,7 +173,7 @@ object LevelInterp {
 
   private final class CompressTraversal(grid: GridData, plan: InterpPlan, expectedCodes: Int)
       extends Traversal(grid, plan) {
-    val quant = new StreamQuantizer(expectedCodes)
+    val quant = new StreamQuantizer(expectedCodes, keepCodes = true, keepOutliers = true)
     protected def startLevel(level: Int, eb: Double): Unit = quant.eb = eb
     protected def line(pred: Array[Double], m: Int, idx0: Int, step: Int): Unit = {
       var i = 0
@@ -199,8 +206,9 @@ object LevelInterp {
     }
   }
 
-  private final class TrialTraversal(grid: GridData, plan: InterpPlan) extends Traversal(grid, plan) {
-    val quant = new StreamQuantizer(grid.size)
+  private final class TrialTraversal(grid: GridData, plan: InterpPlan, keepCodes: Boolean)
+      extends Traversal(grid, plan) {
+    val quant = new StreamQuantizer(grid.size, keepCodes, keepOutliers = false)
     var count = 0L
     var sumAbs = 0.0
     var sumSqRecon = 0.0
