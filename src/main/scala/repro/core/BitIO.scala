@@ -1,7 +1,7 @@
 package repro.core
 
-/** Bit-level writer (LSB-first within each byte) used by the Huffman codec
-  * and the ZFP-like embedded bit-plane coder.
+/** Bit-level writer (LSB-first within each byte) used by the ZFP-like
+  * embedded bit-plane coder.
   */
 final class BitWriter(initial: Int = 1 << 12) {
   private var buf = new Array[Byte](initial)

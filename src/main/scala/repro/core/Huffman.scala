@@ -34,6 +34,7 @@ object Huffman {
     val counts = new Array[Int](hi - lo + 1)
     i = 0
     while (i < n) { counts(symbols(i) - lo) += 1; i += 1 }
+    // The distinct symbols, ascending.
     var m = 0
     i = 0
     while (i < counts.length) { if (counts(i) > 0) m += 1; i += 1 }
@@ -53,9 +54,9 @@ object Huffman {
     var len = 1
     while (len <= maxLen) { val c = next(len); next(len) = code; code = (code + c) << 1; len += 1 }
 
-    // Per symbol offset: the code bit-reversed, so that LSB-first packing
-    // emits it MSB-first, shifted over its 6-bit length. A code over fewer
-    // than 2^31 symbols is at most 45 bits deep.
+    // table(s − lo): the code of s bit-reversed, so that LSB-first packing
+    // emits it MSB-first, above its 6-bit length. A code over fewer than
+    // 2^31 symbols is at most 45 bits deep.
     val table = new Array[Long](counts.length)
     val header = new ByteWriter(16 + 4 * m)
     header.writeVarInt(n.toLong)

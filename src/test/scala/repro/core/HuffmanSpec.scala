@@ -1,5 +1,7 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
@@ -111,6 +113,24 @@ class HuffmanSpec extends AnyFunSuite {
     val enc = Huffman.encode(Array(1, 1, 1, 1, 2, 2, 3))
     val incomplete = rewrite(enc, _ => Array(1, 2, 3), p => Array.fill(p.length)(-1.toByte))
     intercept[IllegalArgumentException](Huffman.decode(incomplete))
+  }
+
+  test("decode(encode(xs)) returns xs over random lengths, alphabets, offsets and skews") {
+    // Symbol = offset + ⌊alphabet · u^(1+skew)⌋ for uniform u: a skew of 0
+    // spreads the symbols evenly, a large one piles them onto the offset.
+    val inputs = for {
+      n <- Gen.frequency(1 -> Gen.choose(0, 2), 6 -> Gen.choose(3, 4000), 1 -> Gen.choose(20000, 80000))
+      alphabet <- Gen.frequency(3 -> Gen.choose(1, 64), 3 -> Gen.choose(65, 5000), 1 -> Gen.choose(5001, 70000))
+      offset <- Gen.frequency(2 -> Gen.const(0), 2 -> Gen.choose(0, 40000), 1 -> Gen.const((1 << 21) - alphabet))
+      skew <- Gen.choose(0.0, 12.0)
+      seed <- Gen.long
+    } yield {
+      val rnd = new Random(seed)
+      Array.fill(n)(offset + math.min(alphabet - 1, (alphabet * math.pow(rnd.nextDouble(), 1 + skew)).toInt))
+    }
+    val prop = Prop.forAll(inputs)(xs => Huffman.decode(Huffman.encode(xs)) sameElements xs)
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(300).withInitialSeed(Seed(20241)), prop)
+    assert(result.passed, org.scalacheck.util.Pretty.pretty(result))
   }
 
   test("randomized fuzz (seeded)") {
