@@ -34,14 +34,11 @@ object Huffman {
     val counts = new Array[Int](hi - lo + 1)
     i = 0
     while (i < n) { counts(symbols(i) - lo) += 1; i += 1 }
-    // The distinct symbols, ascending.
-    var m = 0
+    val distinct = new IntBuf()
     i = 0
-    while (i < counts.length) { if (counts(i) > 0) m += 1; i += 1 }
-    val syms = new Array[Int](m)
-    m = 0
-    i = 0
-    while (i < counts.length) { if (counts(i) > 0) { syms(m) = lo + i; m += 1 }; i += 1 }
+    while (i < counts.length) { if (counts(i) > 0) distinct += lo + i; i += 1 }
+    val syms = distinct.toArray // ascending
+    val m = syms.length
     val lens = codeLengths(syms, counts, lo)
 
     // Canonical codes: symbols in (length, symbol) order take consecutive
@@ -276,22 +273,15 @@ object Huffman {
     */
   private def codeLengths(syms: Array[Int], counts: Array[Int], lo: Int): Array[Int] = {
     val m = syms.length
-    val lens = new Array[Int](m)
-    if (m == 1) { lens(0) = 1; return lens }
+    if (m == 1) return Array(1)
     val slots = mutable.LongMap.empty[Int]
     var i = 0
     while (i < m) { slots.update(syms(i).toLong, i); i += 1 }
 
-    // Node ids: leaves 0 until m in heap-entry order, internal nodes from m
-    // on in merge order, so a parent's id exceeds its children's.
-    val leafSym = new Array[Int](m) // index into `syms` of each leaf
+    // Node ids: a leaf's is its index in `syms`; internal nodes take m, m+1,
+    // … in merge order, so a parent's id exceeds its children's.
     val heap = new Heap(m)
-    var leaf = 0
-    slots.foreachValue { si =>
-      leafSym(leaf) = si
-      heap.push(counts(syms(si) - lo).toLong, leaf)
-      leaf += 1
-    }
+    slots.foreachValue(si => heap.push(counts(syms(si) - lo).toLong, si))
     val parent = new Array[Int](2 * m - 1)
     var id = m
     while (heap.size > 1) {
@@ -303,9 +293,7 @@ object Huffman {
     val depth = new Array[Int](2 * m - 1) // the root, id 2m − 2, has depth 0
     i = 2 * m - 3
     while (i >= 0) { depth(i) = depth(parent(i)) + 1; i -= 1 }
-    i = 0
-    while (i < m) { lens(leafSym(i)) = depth(i); i += 1 }
-    lens
+    java.util.Arrays.copyOf(depth, m)
   }
 
   /** Min-heap of (weight, node id) that sifts exactly as
