@@ -19,7 +19,7 @@ object Huffman {
     */
   def encode(symbols: Array[Int]): Array[Byte] = {
     val n = symbols.length
-    if (n == 0) return Array[Byte](0)
+    if (n == 0) return Array[Byte](0) // the count 0 as a varint
 
     var lo = Int.MaxValue
     var hi = Int.MinValue
@@ -71,30 +71,27 @@ object Huffman {
     header.writeVarInt(payloadBytes.toLong)
     val head = header.toBytes
     val out = java.util.Arrays.copyOf(head, head.length + payloadBytes)
-    // A lone symbol's code is one 0 bit: its payload is already all zeros.
-    if (m > 1) {
-      val words = java.nio.ByteBuffer.wrap(out).order(java.nio.ByteOrder.LITTLE_ENDIAN)
-      var acc = 0L // pending bits, oldest lowest
-      var nbits = 0 // bits in `acc`
-      var pos = head.length
-      i = 0
-      while (i < n) {
-        val e = table(symbols(i) - lo)
-        val l = (e & 63).toInt
-        val c = e >>> 6
-        acc |= c << nbits
-        nbits += l
-        if (nbits >= 64) {
-          // The word is full; the code's top `nbits` bits did not fit.
-          words.putLong(pos, acc)
-          pos += 8
-          nbits -= 64
-          acc = c >>> (l - nbits)
-        }
-        i += 1
+    val words = java.nio.ByteBuffer.wrap(out).order(java.nio.ByteOrder.LITTLE_ENDIAN)
+    var acc = 0L // pending bits, oldest lowest
+    var nbits = 0 // bits in `acc`
+    var pos = head.length
+    i = 0
+    while (i < n) {
+      val e = table(symbols(i) - lo)
+      val l = (e & 63).toInt
+      val c = e >>> 6
+      acc |= c << nbits
+      nbits += l
+      if (nbits >= 64) {
+        // The word is full; the code's top `nbits` bits did not fit.
+        words.putLong(pos, acc)
+        pos += 8
+        nbits -= 64
+        acc = c >>> (l - nbits)
       }
-      while (nbits > 0) { out(pos) = acc.toByte; acc >>>= 8; nbits -= 8; pos += 1 }
+      i += 1
     }
+    while (nbits > 0) { out(pos) = acc.toByte; acc >>>= 8; nbits -= 8; pos += 1 }
     out
   }
 

@@ -126,7 +126,7 @@ object LevelInterp {
     * the plan's error bounds, and returns error/size statistics. With
     * `encode` the size estimate is [[LinearQuantizer.payloadBits]]; callers
     * that only need prediction-error statistics pass `encode = false` and
-    * get no size estimate.
+    * get no size estimate; such a trial keeps none of its codes.
     */
   def trial(grid: GridData, plan: InterpPlan, encode: Boolean = true): TrialStats = {
     val work = grid.copyGrid
@@ -136,7 +136,7 @@ object LevelInterp {
     val t = new TrialTraversal(work, plan, encode)
     t.run()
     val estPayloadBits =
-      if (encode) LinearQuantizer.payloadBits(t.quant.codesArray, t.quant.nOutliers)
+      if (encode) LinearQuantizer.payloadBits(t.quant.codesArray, t.quant.outliersArray.length)
       else Double.NaN
     TrialStats(t.count, t.sumAbs, t.sumSqRecon, estPayloadBits, anchorIdx.length, t.levelAbs, t.levelCnt)
   }
@@ -144,25 +144,18 @@ object LevelInterp {
   // ---------------------------------------------------------------------
   // Quantizer
 
-  /** [[LinearQuantizer]] at the current level's bound, counting outliers.
-    * Compression keeps the codes and outliers; a trial keeps its codes only
-    * when they are to be encoded, and never the outlier values.
+  /** [[LinearQuantizer]] at the current level's bound; with `keep` it
+    * collects the codes and outliers of the compress and trial loops.
     */
-  private final class StreamQuantizer(expectedCodes: Int, keepCodes: Boolean, keepOutliers: Boolean) {
-    private val codes = if (keepCodes) new IntBuf(expectedCodes) else null
-    private val outs = if (keepOutliers) new DblBuf() else null
-    var nOutliers = 0
+  private final class StreamQuantizer(expectedCodes: Int, keep: Boolean) {
+    private val codes = if (keep) new IntBuf(expectedCodes) else null
+    private val outs = if (keep) new DblBuf() else null
     var eb = 1.0
     def quantize(value: Double, pred: Double): Double = {
       val code = LinearQuantizer.code(value, pred, eb, Radius)
-      if (keepCodes) codes += code
+      if (keep) codes += code
       if (code != 0) LinearQuantizer.reconstruct(code, pred, eb, Radius)
-      else {
-        val v = LinearQuantizer.escaped(value)
-        if (keepOutliers) outs += v
-        nOutliers += 1
-        v
-      }
+      else { val v = LinearQuantizer.escaped(value); if (keep) outs += v; v }
     }
     def codesArray: Array[Int] = codes.toArray
     def outliersArray: Array[Double] = outs.toArray
@@ -173,7 +166,7 @@ object LevelInterp {
 
   private final class CompressTraversal(grid: GridData, plan: InterpPlan, expectedCodes: Int)
       extends Traversal(grid, plan) {
-    val quant = new StreamQuantizer(expectedCodes, keepCodes = true, keepOutliers = true)
+    val quant = new StreamQuantizer(expectedCodes, keep = true)
     protected def startLevel(level: Int, eb: Double): Unit = quant.eb = eb
     protected def line(pred: Array[Double], m: Int, idx0: Int, step: Int): Unit = {
       var i = 0
@@ -206,9 +199,9 @@ object LevelInterp {
     }
   }
 
-  private final class TrialTraversal(grid: GridData, plan: InterpPlan, keepCodes: Boolean)
+  private final class TrialTraversal(grid: GridData, plan: InterpPlan, encode: Boolean)
       extends Traversal(grid, plan) {
-    val quant = new StreamQuantizer(grid.size, keepCodes, keepOutliers = false)
+    val quant = new StreamQuantizer(grid.size, keep = encode)
     var count = 0L
     var sumAbs = 0.0
     var sumSqRecon = 0.0
