@@ -31,7 +31,9 @@ object Huffman {
       i += 1
     }
     require(lo >= 0 && hi < MaxSymbol, s"symbol ${if (lo < 0) lo else hi} outside [0, $MaxSymbol)")
-    val counts = histogram(symbols, lo, hi - lo + 1)
+    val counts = new Array[Int](hi - lo + 1)
+    i = 0
+    while (i < n) { counts(symbols(i) - lo) += 1; i += 1 }
     val distinct = new IntBuf()
     i = 0
     while (i < counts.length) { if (counts(i) > 0) distinct += lo + i; i += 1 }
@@ -93,31 +95,6 @@ object Huffman {
     }
     while (nbits > 0) { out(pos) = acc.toByte; acc >>>= 8; nbits -= 8; pos += 1 }
     out
-  }
-
-  /** Occurrences of each symbol lo + k at index k. */
-  private def histogram(symbols: Array[Int], lo: Int, range: Int): Array[Int] = {
-    val n = symbols.length
-    val counts = new Array[Int](range)
-    var i = 0
-    if (n >= 4 * range) {
-      // A repeated symbol's increment waits on the previous one; four
-      // partial histograms keep four such chains in flight.
-      val c1 = new Array[Int](range)
-      val c2 = new Array[Int](range)
-      val c3 = new Array[Int](range)
-      while (i + 4 <= n) {
-        counts(symbols(i) - lo) += 1
-        c1(symbols(i + 1) - lo) += 1
-        c2(symbols(i + 2) - lo) += 1
-        c3(symbols(i + 3) - lo) += 1
-        i += 4
-      }
-      var k = 0
-      while (k < range) { counts(k) += c1(k) + c2(k) + c3(k); k += 1 }
-    }
-    while (i < n) { counts(symbols(i) - lo) += 1; i += 1 }
-    counts
   }
 
   /** Symbols [[encode]] accepts are below this bound; every caller's are

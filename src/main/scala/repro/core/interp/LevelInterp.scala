@@ -126,7 +126,8 @@ object LevelInterp {
     * the plan's error bounds, and returns error/size statistics. With
     * `encode` the size estimate is [[LinearQuantizer.payloadBits]]; callers
     * that only need prediction-error statistics pass `encode = false` and
-    * get no size estimate; such a trial keeps none of its codes.
+    * get no size estimate. A trial keeps no outlier values, and without
+    * `encode` none of its codes.
     */
   def trial(grid: GridData, plan: InterpPlan, encode: Boolean = true): TrialStats = {
     val work = grid.copyGrid
@@ -136,7 +137,7 @@ object LevelInterp {
     val t = new TrialTraversal(work, plan, encode)
     t.run()
     val estPayloadBits =
-      if (encode) LinearQuantizer.payloadBits(t.quant.codesArray, t.quant.outliersArray.length)
+      if (encode) LinearQuantizer.payloadBits(t.quant.codesArray, t.quant.outliers)
       else Double.NaN
     TrialStats(t.count, t.sumAbs, t.sumSqRecon, estPayloadBits, anchorIdx.length, t.levelAbs, t.levelCnt)
   }
@@ -144,18 +145,25 @@ object LevelInterp {
   // ---------------------------------------------------------------------
   // Quantizer
 
-  /** [[LinearQuantizer]] at the current level's bound; with `keep` it
-    * collects the codes and outliers of the compress and trial loops.
+  /** [[LinearQuantizer]] at the current level's bound. It counts the
+    * escaped values; with `keepCodes` it collects the codes, and with
+    * `keepOutliers` the escaped values.
     */
-  private final class StreamQuantizer(expectedCodes: Int, keep: Boolean) {
-    private val codes = if (keep) new IntBuf(expectedCodes) else null
-    private val outs = if (keep) new DblBuf() else null
+  private final class StreamQuantizer(expectedCodes: Int, keepCodes: Boolean, keepOutliers: Boolean) {
+    private val codes = if (keepCodes) new IntBuf(expectedCodes) else null
+    private val outs = if (keepOutliers) new DblBuf() else null
     var eb = 1.0
+    var outliers = 0
     def quantize(value: Double, pred: Double): Double = {
       val code = LinearQuantizer.code(value, pred, eb, Radius)
-      if (keep) codes += code
+      if (keepCodes) codes += code
       if (code != 0) LinearQuantizer.reconstruct(code, pred, eb, Radius)
-      else { val v = LinearQuantizer.escaped(value); if (keep) outs += v; v }
+      else {
+        val v = LinearQuantizer.escaped(value)
+        outliers += 1
+        if (keepOutliers) outs += v
+        v
+      }
     }
     def codesArray: Array[Int] = codes.toArray
     def outliersArray: Array[Double] = outs.toArray
@@ -166,7 +174,7 @@ object LevelInterp {
 
   private final class CompressTraversal(grid: GridData, plan: InterpPlan, expectedCodes: Int)
       extends Traversal(grid, plan) {
-    val quant = new StreamQuantizer(expectedCodes, keep = true)
+    val quant = new StreamQuantizer(expectedCodes, keepCodes = true, keepOutliers = true)
     protected def startLevel(level: Int, eb: Double): Unit = quant.eb = eb
     protected def line(pred: Array[Double], m: Int, idx0: Int, step: Int): Unit = {
       var i = 0
@@ -201,7 +209,7 @@ object LevelInterp {
 
   private final class TrialTraversal(grid: GridData, plan: InterpPlan, encode: Boolean)
       extends Traversal(grid, plan) {
-    val quant = new StreamQuantizer(grid.size, keep = encode)
+    val quant = new StreamQuantizer(grid.size, keepCodes = encode, keepOutliers = false)
     var count = 0L
     var sumAbs = 0.0
     var sumSqRecon = 0.0
