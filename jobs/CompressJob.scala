@@ -27,9 +27,8 @@ object CompressJob {
     try {
       val codec = Eval.compressor(codecName)
       for (ref <- SciData.fields(dataset)) {
-        val grid = SciData.generate(ref)
-        val absEb = Compressor.absoluteBound(grid, eps)
         val blocks = BlockStore.blocksDS(spark, ref).cache()
+        val absEb = Compressor.absoluteBound(BlockStore.valueRange(blocks), eps)
         val compressed = CompressorUdf.compressBlocks(blocks, codec, absEb).cache()
         CompressorUdf.writeParquet(compressed, s"$out/${ref.field}")
         val decompressed = CompressorUdf.decompressBlocks(
@@ -37,6 +36,8 @@ object CompressJob {
         val summary = CompressorUdf.qualitySummary(blocks, decompressed, compressed)
         println(s"== $ref codec=$codecName eps=$eps absEb=$absEb")
         summary.show(truncate = false)
+        compressed.unpersist()
+        blocks.unpersist()
       }
     } finally spark.stop()
   }

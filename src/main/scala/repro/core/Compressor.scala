@@ -26,8 +26,10 @@ object Compressor {
     * bound e = ε · (max − min) (Section 7.1.3). Constant fields get a
     * tiny positive bound so quantizers stay well-defined.
     */
-  def absoluteBound(grid: GridData, valueRangeEb: Double): Double = {
-    val r = grid.valueRange
-    if (r > 0) valueRangeEb * r else math.max(1e-10, valueRangeEb)
-  }
+  def absoluteBound(grid: GridData, valueRangeEb: Double): Double =
+    absoluteBound(grid.valueRange, valueRangeEb)
+
+  /** [[absoluteBound]] for a field whose value range (max − min) is `range`. */
+  def absoluteBound(range: Double, valueRangeEb: Double): Double =
+    if (range > 0) valueRangeEb * range else math.max(1e-10, valueRangeEb)
 }

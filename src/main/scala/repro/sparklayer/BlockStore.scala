@@ -58,6 +58,18 @@ object BlockStore {
     }
   }
 
+  /** Value range (max − min) of the field the blocks shard, from one
+    * aggregation over each block's [[GridData.minMax]], so NaN is ignored
+    * exactly as `minMax` ignores it.
+    */
+  def valueRange(blocks: Dataset[Block]): Double = {
+    val spark = blocks.sparkSession
+    import spark.implicits._
+    val (mn, mx) = blocks.map(b => new GridData(b.dims.toArray, b.values).minMax)
+      .reduce((a, b) => (math.min(a._1, b._1), math.max(a._2, b._2)))
+    mx - mn
+  }
+
   /** Driver-side reassembly of a full field from its blocks. */
   def assemble(ref: FieldRef, blocks: Seq[Block], side: Int = DefaultBlockSide): GridData = {
     val grid = new GridData(ref.dims.clone(), new Array[Double](ref.points.toInt))

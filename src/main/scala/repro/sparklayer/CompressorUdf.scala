@@ -1,6 +1,6 @@
 package repro.sparklayer
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, Encoders, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.{Compressor, GridData, Metrics}
 
@@ -27,11 +27,18 @@ object CompressorUdf {
     }
   }
 
-  /** Inverse of [[compressBlocks]]. */
+  /** Inverse of [[compressBlocks]]. A block whose `bytes` or `dims` is
+    * null (read from a directory that lacks the column) fails with an
+    * `IllegalArgumentException` naming the block and the column.
+    */
   def decompressBlocks(blocks: Dataset[CompressedBlock], compressor: Compressor): Dataset[Block] = {
     val spark = blocks.sparkSession
     import spark.implicits._
     blocks.map { cb =>
+      def missing(column: String) = new IllegalArgumentException(s"compressed block " +
+        s"${cb.dataset}/${cb.field} blockId ${cb.blockId} has a null `$column`: the input has no `$column` column")
+      if (cb.bytes == null) throw missing("bytes")
+      if (cb.dims == null) throw missing("dims")
       val grid = compressor.decompress(cb.bytes)
       Block(cb.dataset, cb.field, cb.blockId, cb.origin, cb.dims, grid.data)
     }
@@ -41,10 +48,13 @@ object CompressorUdf {
   def writeParquet(blocks: Dataset[CompressedBlock], path: String): Unit =
     blocks.toDF().write.mode("overwrite").parquet(path)
 
-  /** Reads compressed blocks back from Parquet. */
+  /** Reads compressed blocks back from Parquet. The read declares the
+    * [[CompressedBlock]] schema that [[writeParquet]] writes, so Spark
+    * runs no job to infer it from the file footers.
+    */
   def readParquet(spark: SparkSession, path: String): Dataset[CompressedBlock] = {
-    import spark.implicits._
-    spark.read.parquet(path).as[CompressedBlock]
+    val encoder = Encoders.product[CompressedBlock]
+    spark.read.schema(encoder.schema).parquet(path).as(encoder)
   }
 
   /** Registers SQL-callable UDFs `sci_compress(values, dims, eb)` and

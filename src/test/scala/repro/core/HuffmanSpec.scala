@@ -3,6 +3,7 @@ package repro.core
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
+import scala.collection.mutable
 import scala.util.Random
 
 class HuffmanSpec extends AnyFunSuite {
@@ -46,6 +47,17 @@ class HuffmanSpec extends AnyFunSuite {
 
   test("symbols including zero (outlier escape code)") {
     roundTrip(Array(0, 5, 0, 5, 5, 0, 12))
+  }
+
+  test("mutable.LongMap iterates in the order Huffman.codeLengths breaks heap ties by") {
+    val m = mutable.LongMap.empty[Int]
+    (0 until 16).foreach(k => m.update(k.toLong, k))
+    val order = mutable.ArrayBuffer.empty[Int]
+    m.foreachValue(order += _)
+    assert(order == Seq(0, 5, 10, 15, 13, 8, 2, 12, 14, 9, 11, 1, 4, 6, 7, 3),
+      "mutable.LongMap now iterates keys 0..15 inserted in ascending order as " + order.mkString(", ") +
+      ". Huffman.codeLengths feeds equal-weight leaves to its heap in this order, so this change in " +
+      "the Scala library would re-code every stream: that, not a codec change, is why GoldenStreamSpec fails.")
   }
 
   test("negative symbols rejected") {

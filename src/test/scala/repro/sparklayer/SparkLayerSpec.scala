@@ -1,5 +1,9 @@
 package repro.sparklayer
 
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.SparkException
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart}
 import repro.{Oracle, SparkSpec}
 import repro.core.{Compressor, HPEZ, Metrics}
 import repro.data.SciData
@@ -13,6 +17,45 @@ class SparkLayerSpec extends SparkSpec {
 
   private lazy val ref = SciData.fields("Miranda", shrink = 0.3).head // 20×29×29
   private lazy val blockSide = 16
+  private lazy val fields =
+    Seq(ref, SciData.fields("CESM", shrink = 0.12).head, SciData.fields("APS", shrink = 0.1).head)
+
+  private def tempPath(name: String): String =
+    java.nio.file.Files.createTempDirectory("repro-parquet").toString + "/" + name
+
+  /** `body`'s result and the number of Spark jobs it started. The jobs run
+    * in a job group of their own; a marker job in that group runs last,
+    * and since a listener receives events in order, the marker's end means
+    * every earlier job start has been counted.
+    */
+  private def jobsStartedBy[T](body: => T): (T, Int) = {
+    val sc = spark.sparkContext
+    val group = s"job-count-${java.util.UUID.randomUUID}"
+    val started = new AtomicInteger
+    val markerEnded = new CountDownLatch(1)
+    val listener = new SparkListener {
+      private var markerJob = -1
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (e.properties != null && e.properties.getProperty("spark.jobGroup.id") == group) {
+          if (e.properties.getProperty("spark.job.description") == "marker") markerJob = e.jobId
+          else started.incrementAndGet()
+        }
+      override def onJobEnd(e: SparkListenerJobEnd): Unit =
+        if (e.jobId == markerJob) markerEnded.countDown()
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup(group, "counted")
+      val result = body
+      sc.setJobDescription("marker")
+      sc.parallelize(Seq(1), 1).count()
+      assert(markerEnded.await(60, TimeUnit.SECONDS), "the marker job's end never arrived")
+      (result, started.get)
+    } finally {
+      sc.clearJobGroup()
+      sc.removeSparkListener(listener)
+    }
+  }
 
   test("distributed block generation matches driver-side generation exactly") {
     val blocks = BlockStore.blocksDS(spark, ref, blockSide).collect().toSeq
@@ -22,7 +65,7 @@ class SparkLayerSpec extends SparkSpec {
   }
 
   test("every generated block equals the matching slice of the field") {
-    for (r <- Seq(ref, SciData.fields("CESM", shrink = 0.12).head, SciData.fields("APS", shrink = 0.1).head)) {
+    for (r <- fields) {
       val grid = SciData.generate(r)
       val blocks = BlockStore.blocksDS(spark, r, blockSide).collect()
       assert(blocks.length == BlockStore.blockGrid(r.dims, blockSide).product)
@@ -56,12 +99,53 @@ class SparkLayerSpec extends SparkSpec {
     val absEb = Compressor.absoluteBound(grid, 1e-3)
     val blocks = BlockStore.blocksDS(spark, ref, blockSide)
     val comp = CompressorUdf.compressBlocks(blocks, ZfpLike(), absEb)
-    val path = java.nio.file.Files.createTempDirectory("repro-parquet").toString + "/blocks"
+    val path = tempPath("blocks")
     CompressorUdf.writeParquet(comp, path)
     val reread = CompressorUdf.readParquet(spark, path)
     val decomp = CompressorUdf.decompressBlocks(reread, ZfpLike())
     val back = BlockStore.assemble(ref, decomp.collect().toSeq, blockSide)
     assert(Metrics.maxAbsError(grid.data, back.data) <= absEb)
+  }
+
+  test("readParquet starts no Spark job and returns every column as written") {
+    val absEb = Compressor.absoluteBound(SciData.generate(ref), 1e-3)
+    val comp = CompressorUdf.compressBlocks(BlockStore.blocksDS(spark, ref, blockSide), HPEZ(), absEb).cache()
+    val path = tempPath("blocks")
+    CompressorUdf.writeParquet(comp, path)
+    val (reread, jobs) = jobsStartedBy(CompressorUdf.readParquet(spark, path))
+    assert(jobs == 0, s"readParquet started $jobs Spark job(s)")
+    val written = comp.collect().map(cb => cb.blockId -> cb).toMap
+    val read = reread.collect()
+    comp.unpersist()
+    assert(read.map(_.blockId).sorted.toSeq == written.keys.toSeq.sorted)
+    read.foreach { cb =>
+      val w = written(cb.blockId)
+      assert(cb.copy(bytes = null) == w.copy(bytes = null), s"block ${cb.blockId}")
+      assert(java.util.Arrays.equals(cb.bytes, w.bytes), s"block ${cb.blockId}: bytes differ")
+    }
+  }
+
+  test("decompressing a directory without compressed bytes names the block and the column") {
+    val absEb = Compressor.absoluteBound(SciData.generate(ref), 1e-3)
+    val path = tempPath("no-bytes")
+    CompressorUdf.compressBlocks(BlockStore.blocksDS(spark, ref, blockSide), ZfpLike(), absEb)
+      .toDF().drop("bytes").write.parquet(path)
+    val e = intercept[SparkException] {
+      CompressorUdf.decompressBlocks(CompressorUdf.readParquet(spark, path), ZfpLike()).collect()
+    }
+    val cause = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+      .collectFirst { case x: IllegalArgumentException => x }
+    assert(cause.exists(x => s"${ref.dataset}/${ref.field} blockId \\d+ has a null `bytes`".r
+      .findFirstIn(x.getMessage).isDefined), e.toString)
+  }
+
+  test("valueRange of a field's blocks equals the field's value range bit for bit") {
+    for (r <- fields) {
+      val got = BlockStore.valueRange(BlockStore.blocksDS(spark, r, blockSide))
+      val want = SciData.generate(r).valueRange
+      assert(java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(want),
+        s"$r: $got, expected $want")
+    }
   }
 
   test("SQL UDFs compress/decompress array columns") {
