@@ -221,6 +221,15 @@ object GoldenStreams {
       val rnd = new scala.util.Random(9)
       Array.fill((1 << 20) + 12345)(if (rnd.nextInt(500) == 0) 0 else R + math.round(rnd.nextGaussian() * 4).toInt)
     }),
+    // The escape code 0 against symbols near the radius R.
+    "escapes only" -> (() => Array.fill(5000)(0)),
+    "an escape and one other symbol" -> (() => histogram(Array(0, R + 3), Array(40, 900), 10)),
+    "escape count tied with another symbol's" ->
+      (() => histogram(Array(0, R - 1, R, R + 1), Array(50, 50, 400, 120), 11)),
+    "escape as the most frequent symbol" ->
+      (() => histogram(Array(0, R - 2, R, R + 2), Array(3000, 100, 700, 100), 12)),
+    "no escape, every symbol at least R - 10" ->
+      (() => histogram(Array.range(R - 10, R + 11), Array.tabulate(21)(k => 1 + 30 / (1 + math.abs(k - 10))), 13)),
   )
 }
 
@@ -270,7 +279,9 @@ class GoldenStreamSpec extends AnyFunSuite {
   }
 
   /** SHA-256 of `Huffman.encode` per case, computed with the encoder that
-    * built its tree from boxed nodes and a `PriorityQueue` of tuples.
+    * built its tree from boxed nodes and a `PriorityQueue` of tuples; the
+    * escape cases with the primitive-array encoder whose histogram spanned
+    * the escape code 0 too.
     */
   private lazy val HuffmanExpected: Map[String, String] = Map(
     "empty" ->
@@ -296,7 +307,17 @@ class GoldenStreamSpec extends AnyFunSuite {
     "symbol 2^21-1" ->
       "05c924784f54d4555d538f161204020e14fe6e5a73a272870a3daca0408560e8",
     "2^20 + 12345 quantizer-like symbols" ->
-      "b7103cd94ce7ddf775e72fadab8508d48eb4509fe5ddc499dd622582ebbc747e"
+      "b7103cd94ce7ddf775e72fadab8508d48eb4509fe5ddc499dd622582ebbc747e",
+    "escapes only" ->
+      "d820569bbf5ca04158957af3467d162aba8248fb6c66c4c8673efd7e241b455c",
+    "an escape and one other symbol" ->
+      "f9ed18ffe6f64279519f6a597be1cd9ce0b06c9f17ee9bbe3efe767843455e8b",
+    "escape count tied with another symbol's" ->
+      "8b31ea42544e41461bc1ba684299254ba3ea68159b19a73be133d75a7a2f9cdd",
+    "escape as the most frequent symbol" ->
+      "4fbc649441339b232337ddea2cfbb921a562ec7913c4831f27bb37c38944b13e",
+    "no escape, every symbol at least R - 10" ->
+      "850007f6bf0351e8712c8b56555d89e8868a8728f3d755079b7659523cec0dd5",
   )
 
   private lazy val Expected: Map[String, (String, String)] = Map(
