@@ -53,8 +53,8 @@ class BenchTable3 extends AnyFunSuite {
       val crs = Seq("SZ 3.1", "ZFP 0.5.5", "QoZ 1.1", "HPEZ")
         .map(c => c -> Eval.run(d, c, eps, BenchScale.shrink).cr).toMap
       cells += 1
-      if (crs("HPEZ") >= crs.filterKeys(_ != "HPEZ").values.max) hpezBest += 1
-      assert(crs("HPEZ") >= 0.95 * crs.filterKeys(_ != "HPEZ").values.max,
+      if (crs("HPEZ") >= crs.view.filterKeys(_ != "HPEZ").values.max) hpezBest += 1
+      assert(crs("HPEZ") >= 0.95 * crs.view.filterKeys(_ != "HPEZ").values.max,
         s"$d eps=$eps: HPEZ ${crs("HPEZ")} should not lose to ${crs}")
       assert(crs("ZFP 0.5.5") < crs("HPEZ"),
         s"$d eps=$eps: ZFP should trail the prediction-based compressors")
@@ -96,7 +96,7 @@ class BenchTable5 extends repro.SparkSpec {
         val times = Tables.table5Times(d, paperLink / slow, 2048, BenchScale.shrink)
         // "win" = strictly best, or within 10% of the best (the paper's
         // RTM row shows HPEZ slightly behind QoZ too)
-        if (times("HPEZ") <= times.filterKeys(_ != "HPEZ").values.min * 1.1) wins += 1
+        if (times("HPEZ") <= times.view.filterKeys(_ != "HPEZ").values.min * 1.1) wins += 1
       }
       assert(wins >= 4, s"$dir: HPEZ should lead or tie the transfer model on most datasets ($wins/6)")
     }

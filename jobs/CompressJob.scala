@@ -21,7 +21,7 @@ object CompressJob {
     val eps = if (args.length > 2) args(2).toDouble else 1e-3
     val out = if (args.length > 3) args(3) else s"/tmp/repro-${dataset}-${eps}"
 
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(s"CompressJob-$dataset").getOrCreate()
     try {

@@ -19,7 +19,7 @@ object TransferSimJob {
     val p = if (args.length > 2) args(2).toInt else 2048
     val link = if (args.length > 3) args(3).toDouble else 1.0
 
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(s"TransferSim-$dataset").getOrCreate()
     try {
@@ -40,7 +40,7 @@ object TransferSimJob {
           val bytes = compressed.toDF().agg(
             org.apache.spark.sql.functions.sum(
               org.apache.spark.sql.functions.length(
-                org.apache.spark.sql.functions.col("bytes")))).head.getLong(0)
+                org.apache.spark.sql.functions.col("bytes")))).head().getLong(0)
           compSecs += (System.nanoTime() - t0) / 1e9
           t0 = System.nanoTime()
           CompressorUdf.decompressBlocks(compressed, codec).foreach(_ => ())

@@ -28,13 +28,7 @@ final class GridData(val dims: Array[Int], val data: Array[Double]) extends Seri
   def size: Int = data.length
 
   /** Flat-index stride of each dimension (last dim has stride 1). */
-  val strides: Array[Int] = {
-    val s = new Array[Int](dims.length)
-    s(dims.length - 1) = 1
-    var i = dims.length - 2
-    while (i >= 0) { s(i) = s(i + 1) * dims(i + 1); i -= 1 }
-    s
-  }
+  val strides: Array[Int] = GridData.strides(dims)
 
   /** Flat index of the given coordinates. */
   def index(coords: Array[Int]): Int = {
@@ -74,7 +68,12 @@ final class GridData(val dims: Array[Int], val data: Array[Double]) extends Seri
   def valueRange: Double = { val (mn, mx) = minMax; mx - mn }
 
   /** Extracts the sub-grid with the given origin and extents (allocates). */
-  def slice(origin: Array[Int], extents: Array[Int]): GridData = {
+  def slice(origin: Array[Int], extents: Array[Int]): GridData =
+    sliceInto(origin, new GridData(extents, new Array[Double](extents.map(_.toLong).product.toInt)))
+
+  /** Copies the sub-grid at `origin` with `out`'s extents into `out`. */
+  def sliceInto(origin: Array[Int], out: GridData): GridData = {
+    val extents = out.dims
     require(origin.length == ndim && extents.length == ndim)
     var k = 0
     while (k < ndim) {
@@ -82,7 +81,6 @@ final class GridData(val dims: Array[Int], val data: Array[Double]) extends Seri
         s"slice out of range on dim $k: ${origin(k)}+${extents(k)} > ${dims(k)}")
       k += 1
     }
-    val out = new GridData(extents, new Array[Double](extents.map(_.toLong).product.toInt))
     // Copy row by row along the last dimension.
     val last = ndim - 1
     val rowLen = extents(last)
@@ -124,6 +122,15 @@ final class GridData(val dims: Array[Int], val data: Array[Double]) extends Seri
 }
 
 object GridData {
+  /** Flat-index stride of each dimension of a row-major grid with `dims`. */
+  def strides(dims: Array[Int]): Array[Int] = {
+    val s = new Array[Int](dims.length)
+    s(dims.length - 1) = 1
+    var i = dims.length - 2
+    while (i >= 0) { s(i) = s(i + 1) * dims(i + 1); i -= 1 }
+    s
+  }
+
   /** Builds a grid by evaluating `f` at every coordinate (row-major). */
   def tabulate(dims: Array[Int])(f: Array[Int] => Double): GridData = {
     val n = dims.map(_.toLong).product

@@ -35,11 +35,11 @@ object LinearQuantizer {
     */
   def escaped(value: Double): Double = value.toFloat.toDouble
 
-  /** Tuning-trial size estimate of a quantizer output: its codes through
-    * the real entropy stage (Huffman + Zstd) plus 36 bits per outlier.
-    * Shannon entropy misranks configurations because it ignores both the
-    * Huffman table and Zstd's gains on concentrated streams.
+  /** Tuning-trial size estimate of the first `n` of `codes`: the codes
+    * through the real entropy stage (Huffman + Zstd) plus 36 bits per
+    * outlier. Shannon entropy misranks configurations because it ignores
+    * both the Huffman table and Zstd's gains on concentrated streams.
     */
-  def payloadBits(codes: Array[Int], nOutliers: Int): Double =
-    (if (codes.isEmpty) 0.0 else Lossless.compress(Huffman.encode(codes)).length * 8.0) + 36.0 * nOutliers
+  def payloadBits(codes: Array[Int], n: Int, nOutliers: Int): Double =
+    (if (n == 0) 0.0 else Lossless.compress(Huffman.encode(codes, n)).length * 8.0) + 36.0 * nOutliers
 }

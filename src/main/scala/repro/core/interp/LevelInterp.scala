@@ -74,11 +74,11 @@ object LevelInterp {
   }
 
   /** Anchor flat indices in row-major order. */
-  private def anchorIndices(grid: GridData, plan: InterpPlan): Array[Int] = {
-    val nd = grid.ndim
+  private def anchorIndices(plan: InterpPlan): Array[Int] = {
+    val nd = plan.dims.length
     val steps = Array.tabulate(nd)(k => if (k == plan.frozenDim) 1 else plan.anchorStride)
-    val out = new Array[Int](countAnchors(grid.dims, plan.anchorStride, plan.frozenDim).toInt)
-    val lines = new Lines(grid.dims, grid.strides, new Array[Int](nd), steps, nd - 1)
+    val out = new Array[Int](countAnchors(plan.dims, plan.anchorStride, plan.frozenDim).toInt)
+    val lines = new Lines(plan.dims, GridData.strides(plan.dims), new Array[Int](nd), steps, nd - 1)
     var n = 0
     while (lines.valid) {
       var i = 0
@@ -96,7 +96,7 @@ object LevelInterp {
     * reconstruction) and collects quantization codes / outliers / anchors.
     */
   def compressWith(work: GridData, plan: InterpPlan): InterpResult = {
-    val anchorIdx = anchorIndices(work, plan)
+    val anchorIdx = anchorIndices(plan)
     val anchors = new Array[Double](anchorIdx.length)
     var i = 0
     while (i < anchorIdx.length) {
@@ -104,9 +104,9 @@ object LevelInterp {
       anchors(i) = v; work.data(anchorIdx(i)) = v
       i += 1
     }
-    val t = new CompressTraversal(work, plan, work.size - anchors.length)
+    val t = new CompressTraversal(work.data, plan, new Array[Int](work.size - anchors.length))
     t.run()
-    InterpResult(t.quant.codesArray, t.quant.outliersArray, anchors)
+    InterpResult(t.codes, t.outliers.toArray, anchors)
   }
 
   /** Rebuilds the grid from codes/outliers/anchors by replaying the
@@ -115,79 +115,64 @@ object LevelInterp {
   def decompressWith(plan: InterpPlan, codes: Array[Int], outliers: Array[Double],
                      anchors: Array[Double]): GridData = {
     val grid = new GridData(plan.dims.clone(), new Array[Double](plan.dims.map(_.toLong).product.toInt))
-    val anchorIdx = anchorIndices(grid, plan)
+    val anchorIdx = anchorIndices(plan)
     var i = 0
     while (i < anchorIdx.length) { grid.data(anchorIdx(i)) = anchors(i); i += 1 }
-    new DecompressTraversal(grid, plan, codes, outliers).run()
+    new DecompressTraversal(grid.data, plan, codes, outliers).run()
     grid
   }
 
-  /** Tuning trial: runs the traversal on a COPY of `grid`, quantizing with
-    * the plan's error bounds, and returns error/size statistics. With
-    * `encode` the size estimate is [[LinearQuantizer.payloadBits]]; callers
-    * that only need prediction-error statistics pass `encode = false` and
-    * get no size estimate. A trial keeps no outlier values, and without
-    * `encode` none of its codes.
+  /** Tuning trial: copies `grid` into `work`'s buffer and runs the
+    * traversal there, quantizing with the plan's error bounds; `grid` is
+    * left unchanged. Returns error/size statistics. With `encode` the size
+    * estimate is [[LinearQuantizer.payloadBits]]; callers that only need
+    * prediction-error statistics pass `encode = false` and get no size
+    * estimate. A tuning run passes one `work` to all of its trials.
     */
-  def trial(grid: GridData, plan: InterpPlan, encode: Boolean = true): TrialStats = {
-    val work = grid.copyGrid
-    val anchorIdx = anchorIndices(work, plan)
+  def trial(grid: GridData, plan: InterpPlan, encode: Boolean = true,
+            work: TrialWork = new TrialWork): TrialStats = {
+    require(grid.dims sameElements plan.dims, "trial grid and plan dims differ")
+    val d = work.load(grid)
+    val anchorIdx = anchorIndices(plan)
     var i = 0
-    while (i < anchorIdx.length) { work.data(anchorIdx(i)) = work.data(anchorIdx(i)).toFloat.toDouble; i += 1 }
-    val t = new TrialTraversal(work, plan, encode)
+    while (i < anchorIdx.length) { d(anchorIdx(i)) = d(anchorIdx(i)).toFloat.toDouble; i += 1 }
+    val t = new TrialTraversal(d, plan, work.ints(grid.size - anchorIdx.length))
     t.run()
     val estPayloadBits =
-      if (encode) LinearQuantizer.payloadBits(t.quant.codesArray, t.quant.outliers)
+      if (encode) LinearQuantizer.payloadBits(t.codes, t.count, t.outliers)
       else Double.NaN
     TrialStats(t.count, t.sumAbs, t.sumSqRecon, estPayloadBits, anchorIdx.length, t.levelAbs, t.levelCnt)
   }
 
   // ---------------------------------------------------------------------
-  // Quantizer
-
-  /** [[LinearQuantizer]] at the current level's bound. It counts the
-    * escaped values; with `keepCodes` it collects the codes, and with
-    * `keepOutliers` the escaped values.
-    */
-  private final class StreamQuantizer(expectedCodes: Int, keepCodes: Boolean, keepOutliers: Boolean) {
-    private val codes = if (keepCodes) new IntBuf(expectedCodes) else null
-    private val outs = if (keepOutliers) new DblBuf() else null
-    var eb = 1.0
-    var outliers = 0
-    def quantize(value: Double, pred: Double): Double = {
-      val code = LinearQuantizer.code(value, pred, eb, Radius)
-      if (keepCodes) codes += code
-      if (code != 0) LinearQuantizer.reconstruct(code, pred, eb, Radius)
-      else {
-        val v = LinearQuantizer.escaped(value)
-        outliers += 1
-        if (keepOutliers) outs += v
-        v
-      }
-    }
-    def codesArray: Array[Int] = codes.toArray
-    def outliersArray: Array[Double] = outs.toArray
-  }
-
-  // ---------------------------------------------------------------------
   // Line consumers: one monomorphic loop each for compress, decompress and trial
 
-  private final class CompressTraversal(grid: GridData, plan: InterpPlan, expectedCodes: Int)
-      extends Traversal(grid, plan) {
-    val quant = new StreamQuantizer(expectedCodes, keepCodes = true, keepOutliers = true)
-    protected def startLevel(level: Int, eb: Double): Unit = quant.eb = eb
+  private final class CompressTraversal(work: Array[Double], plan: InterpPlan, val codes: Array[Int])
+      extends Traversal(work, plan) {
+    val outliers = new DblBuf()
+    private var n = 0
+    private var eb = 1.0
+    protected def startLevel(level: Int, e: Double): Unit = eb = e
     protected def line(pred: Array[Double], m: Int, idx0: Int, step: Int): Unit = {
+      var c = n
       var i = 0
       var idx = idx0
       while (i < m) {
-        data(idx) = quant.quantize(data(idx), pred(i))
+        val v = data(idx)
+        val p = pred(i)
+        val code = LinearQuantizer.code(v, p, eb, Radius)
+        codes(c) = code; c += 1
+        data(idx) =
+          if (code != 0) LinearQuantizer.reconstruct(code, p, eb, Radius)
+          else { val e = LinearQuantizer.escaped(v); outliers += e; e }
         i += 1; idx += step
       }
+      n = c
     }
   }
 
-  private final class DecompressTraversal(grid: GridData, plan: InterpPlan, codes: Array[Int],
-                                          outliers: Array[Double]) extends Traversal(grid, plan) {
+  private final class DecompressTraversal(out: Array[Double], plan: InterpPlan, codes: Array[Int],
+                                          outliers: Array[Double]) extends Traversal(out, plan) {
     private var ci = 0
     private var oi = 0
     private var eb = 1.0
@@ -207,20 +192,22 @@ object LevelInterp {
     }
   }
 
-  private final class TrialTraversal(grid: GridData, plan: InterpPlan, encode: Boolean)
-      extends Traversal(grid, plan) {
-    val quant = new StreamQuantizer(grid.size, keepCodes = encode, keepOutliers = false)
-    var count = 0L
+  private final class TrialTraversal(work: Array[Double], plan: InterpPlan, val codes: Array[Int])
+      extends Traversal(work, plan) {
+    var count = 0
+    var outliers = 0
     var sumAbs = 0.0
     var sumSqRecon = 0.0
     val levelAbs = new Array[Double](plan.maxLevel)
     val levelCnt = new Array[Long](plan.maxLevel)
     private var curLevel = 1
-    protected def startLevel(level: Int, eb: Double): Unit = { curLevel = level; quant.eb = eb }
+    private var eb = 1.0
+    protected def startLevel(level: Int, e: Double): Unit = { curLevel = level; eb = e }
     protected def line(pred: Array[Double], m: Int, idx0: Int, step: Int): Unit = {
       var absL = levelAbs(curLevel - 1)
       var sa = sumAbs
       var sr = sumSqRecon
+      var c = count
       var i = 0
       var idx = idx0
       while (i < m) {
@@ -229,13 +216,17 @@ object LevelInterp {
         val err = math.abs(v - p)
         sa += err
         absL += err
-        val recon = quant.quantize(v, p)
+        val code = LinearQuantizer.code(v, p, eb, Radius)
+        codes(c) = code; c += 1
+        val recon =
+          if (code != 0) LinearQuantizer.reconstruct(code, p, eb, Radius)
+          else { outliers += 1; LinearQuantizer.escaped(v) }
         val re = recon - v
         sr += re * re
         data(idx) = recon
         i += 1; idx += step
       }
-      count += m
+      count = c
       levelCnt(curLevel - 1) += m
       levelAbs(curLevel - 1) = absL
       sumAbs = sa; sumSqRecon = sr
@@ -314,10 +305,9 @@ object LevelInterp {
   /** Drives all levels and passes; subclasses consume each line's
     * predictions and write the reconstructed values into `data`.
     */
-  private abstract class Traversal(grid: GridData, plan: InterpPlan) {
-    protected final val data: Array[Double] = grid.data
-    private val dims = grid.dims
-    private val strides = grid.strides
+  private abstract class Traversal(protected final val data: Array[Double], plan: InterpPlan) {
+    private val dims = plan.dims
+    private val strides = GridData.strides(dims)
     private val nd = dims.length
     private val buf = new Array[Double](dims.max)
     // Block-wise spline override (Section 6.6): 0 = none.
@@ -400,8 +390,6 @@ object LevelInterp {
       val m = lines.length
       val alongLine = inner == dim
       while (lines.valid) {
-        // -0.0 + 1.0·p == p for every p, so the 1-D prediction is stored exactly.
-        java.util.Arrays.fill(buf, 0, m, -0.0)
         val p0 = if (alongLine) starts(dim) else lines.coords(dim)
         val pstep = if (alongLine) steps(dim) else 0
         var a = 0
@@ -409,7 +397,7 @@ object LevelInterp {
           val b = segmentEnd(a, m, starts(inner), steps(inner))
           val kind = segmentSpline(lines.coords, inner, starts(inner) + a * steps(inner), spline)
           addAlong(lines.base, lines.idxStep, a, b, p0, pstep, dims(dim), s, s * strides(dim),
-            kind, sameLevelStep, 1.0)
+            kind, sameLevelStep, 1.0, add = false)
           a = b
         }
         line(buf, m, lines.base, lines.idxStep)
@@ -468,9 +456,11 @@ object LevelInterp {
                 val k = active(a)
                 if (odd(k)) {
                   if (k == inner)
-                    addAlong(idx0, idxStep, lo, hi, q0, qstep, dims(k), s, s * strides(k), kind, false, plan.dimWeights(k))
+                    addAlong(idx0, idxStep, lo, hi, q0, qstep, dims(k), s, s * strides(k), kind, false,
+                      plan.dimWeights(k), add = true)
                   else
-                    addAlong(idx0, idxStep, lo, hi, lines.coords(k), 0, dims(k), s, s * strides(k), kind, false, plan.dimWeights(k))
+                    addAlong(idx0, idxStep, lo, hi, lines.coords(k), 0, dims(k), s, s * strides(k), kind, false,
+                      plan.dimWeights(k), add = true)
                 }
                 a += 1
               }
@@ -509,15 +499,16 @@ object LevelInterp {
         Spline.Kind.all(plan.blockSplines(bid))
       }
 
-    /** Adds w · (1-D prediction along one dimension) to buf(a until b), for
-      * the points idx0 + i·idxStep whose coordinate along that dimension is
-      * p0 + i·pstep (pstep = 0 when the line crosses the dimension). Points
-      * without the full stencil are peeled off one at a time; the rest run
-      * through one full-stencil loop.
+    /** Adds w · (1-D prediction along one dimension) to buf(a until b), or
+      * without `add` stores the prediction there (a 1-D pass, whose points
+      * each have one), for the points idx0 + i·idxStep whose coordinate
+      * along that dimension is p0 + i·pstep (pstep = 0 when the line
+      * crosses the dimension). Points without the full stencil are peeled
+      * off one at a time; the rest run through one full-stencil loop.
       */
     private def addAlong(idx0: Int, idxStep: Int, a: Int, b: Int, p0: Int, pstep: Int, n: Int, s: Int,
-                         off: Int, kind: Spline.Kind, sameLevelStep: Boolean, w: Double): Unit =
-      if (pstep == 0) stencilRun(stencilAt(p0, n, s, kind, sameLevelStep), idx0, idxStep, a, b, off, w)
+                         off: Int, kind: Spline.Kind, sameLevelStep: Boolean, w: Double, add: Boolean): Unit =
+      if (pstep == 0) stencilRun(stencilAt(p0, n, s, kind, sameLevelStep), idx0, idxStep, a, b, off, w, add)
       else {
         val full =
           if (!kind.isCubic) Linear
@@ -530,52 +521,55 @@ object LevelInterp {
         val right = if (full == Linear) 1 else if (full == SameLevelNotAKnot) 2 else 3
         var lo = a
         while (lo < b && p0 + lo * pstep < left * s) {
-          stencilRun(stencilAt(p0 + lo * pstep, n, s, kind, sameLevelStep), idx0, idxStep, lo, lo + 1, off, w)
+          stencilRun(stencilAt(p0 + lo * pstep, n, s, kind, sameLevelStep), idx0, idxStep, lo, lo + 1, off, w, add)
           lo += 1
         }
         var hi = b
         while (hi > lo && p0 + (hi - 1) * pstep + right * s >= n) hi -= 1
-        stencilRun(full, idx0, idxStep, lo, hi, off, w)
+        stencilRun(full, idx0, idxStep, lo, hi, off, w, add)
         var i = hi
         while (i < b) {
-          stencilRun(stencilAt(p0 + i * pstep, n, s, kind, sameLevelStep), idx0, idxStep, i, i + 1, off, w)
+          stencilRun(stencilAt(p0 + i * pstep, n, s, kind, sameLevelStep), idx0, idxStep, i, i + 1, off, w, add)
           i += 1
         }
       }
 
-    /** buf(i) += w · stencil prediction at idx0 + i·idxStep for i in [a, b);
-      * `off` is the flat-index distance of one stride s.
+    /** buf(i) += w · stencil prediction at idx0 + i·idxStep for i in [a, b),
+      * or without `add` buf(i) = the prediction; `off` is the flat-index
+      * distance of one stride s.
       */
-    private def stencilRun(stencil: Int, idx0: Int, idxStep: Int, a: Int, b: Int, off: Int, w: Double): Unit = {
+    private def stencilRun(stencil: Int, idx0: Int, idxStep: Int, a: Int, b: Int, off: Int, w: Double,
+                           add: Boolean): Unit = {
       val d = data
+      def put(i: Int, p: Double): Unit = if (add) buf(i) += w * p else buf(i) = p
       var i = a
       var idx = idx0 + a * idxStep
       (stencil: @switch) match {
         case Copy =>
-          while (i < b) { buf(i) += w * d(idx - off); i += 1; idx += idxStep }
+          while (i < b) { put(i, d(idx - off)); i += 1; idx += idxStep }
         case Extrapolate =>
-          while (i < b) { buf(i) += w * Spline.extrapolate(d(idx - 3 * off), d(idx - off)); i += 1; idx += idxStep }
+          while (i < b) { put(i, Spline.extrapolate(d(idx - 3 * off), d(idx - off))); i += 1; idx += idxStep }
         case Linear =>
-          while (i < b) { buf(i) += w * Spline.linear(d(idx - off), d(idx + off)); i += 1; idx += idxStep }
+          while (i < b) { put(i, Spline.linear(d(idx - off), d(idx + off))); i += 1; idx += idxStep }
         case NotAKnot =>
           while (i < b) {
-            buf(i) += w * Spline.notAKnot(d(idx - 3 * off), d(idx - off), d(idx + off), d(idx + 3 * off))
+            put(i, Spline.notAKnot(d(idx - 3 * off), d(idx - off), d(idx + off), d(idx + 3 * off)))
             i += 1; idx += idxStep
           }
         case Natural =>
           while (i < b) {
-            buf(i) += w * Spline.natural(d(idx - 3 * off), d(idx - off), d(idx + off), d(idx + 3 * off))
+            put(i, Spline.natural(d(idx - 3 * off), d(idx - off), d(idx + off), d(idx + 3 * off)))
             i += 1; idx += idxStep
           }
         case SameLevelNotAKnot =>
           while (i < b) {
-            buf(i) += w * Spline.sameLevelNotAKnot(d(idx - 2 * off), d(idx - off), d(idx + off), d(idx + 2 * off))
+            put(i, Spline.sameLevelNotAKnot(d(idx - 2 * off), d(idx - off), d(idx + off), d(idx + 2 * off)))
             i += 1; idx += idxStep
           }
         case SameLevelNatural =>
           while (i < b) {
-            buf(i) += w * Spline.sameLevelNatural(d(idx - 3 * off), d(idx - 2 * off), d(idx - off),
-              d(idx + off), d(idx + 2 * off), d(idx + 3 * off))
+            put(i, Spline.sameLevelNatural(d(idx - 3 * off), d(idx - 2 * off), d(idx - off),
+              d(idx + off), d(idx + 2 * off), d(idx + 3 * off)))
             i += 1; idx += idxStep
           }
       }

@@ -271,18 +271,17 @@ object Lorenzo {
   final case class LorenzoTrial(order: Int, nPredicted: Long, meanAbsErr: Double,
                                 reconMse: Double, estPayloadBits: Double)
 
-  /** Evaluates Lorenzo orders 1 and 2 on `sample`, returning per-order
-    * entropy-based size estimates and reconstruction MSE. FAZ's
-    * multiplicative bit-rate adjustment is applied by the caller.
+  /** Evaluates Lorenzo orders 1 and 2 on `sample` in `work`'s buffers,
+    * returning per-order entropy-based size estimates and reconstruction
+    * MSE. FAZ's multiplicative bit-rate adjustment is applied by the caller.
     */
-  def trial(sample: GridData, eb: Double): Seq[LorenzoTrial] =
+  def trial(sample: GridData, eb: Double, work: TrialWork = new TrialWork): Seq[LorenzoTrial] =
     Seq(1, 2).map { order =>
-      val work = sample.copyGrid
-      val n = work.size
-      val absErr = new Array[Double](n)
-      val sqErr = new Array[Double](n)
-      val codes = new Array[Int](n)
-      sweep(work.dims, work.data, eb, order, codes, decode = false, absErr, sqErr)
+      val n = sample.size
+      val absErr = work.doubles(1, n)
+      val sqErr = work.doubles(2, n)
+      val codes = work.ints(n)
+      sweep(sample.dims, work.load(sample), eb, order, codes, decode = false, absErr, sqErr)
       // Summed in raster order, as a point-by-point sweep would.
       var sumAbs = 0.0
       var sumSqRecon = 0.0
@@ -295,7 +294,7 @@ object Lorenzo {
       }
       val cnt = n.toLong
       LorenzoTrial(order, cnt, if (cnt == 0) 0 else sumAbs / cnt,
-        if (cnt == 0) 0 else sumSqRecon / cnt, LinearQuantizer.payloadBits(codes, nOutliers))
+        if (cnt == 0) 0 else sumSqRecon / cnt, LinearQuantizer.payloadBits(codes, n, nOutliers))
     }
 
   private val Radius = repro.core.interp.LevelInterp.Radius

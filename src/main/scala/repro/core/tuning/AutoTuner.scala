@@ -66,9 +66,16 @@ object AutoTuner {
       anchorStride = 0, fvfi = false)
   }
 
-  /** Tuning outcome: either a Lorenzo order or a full interpolation plan. */
+  /** Tuning outcome: either a Lorenzo order or a full interpolation plan.
+    * The PSNR estimate reads the grid's value range on first use. */
   final case class Result(useLorenzo: Boolean, lorenzoOrder: Int, plan: InterpPlan,
-                          estBits: Double, estPsnr: Double)
+                          estBits: Double, estMse: Double)(range: => Double) {
+    lazy val estPsnr: Double = psnr(estMse, range)
+  }
+
+  /** PSNR of a reconstruction MSE on a grid whose value range is `range`. */
+  private def psnr(reconMse: Double, range: Double): Double =
+    if (reconMse <= 0) 999.0 else 20 * math.log10(range) - 10 * math.log10(reconMse)
 
   /** α/β candidates explored by the error-bound tuning (Eq. 15),
     * following QoZ's small discrete search space.
@@ -82,21 +89,18 @@ object AutoTuner {
     */
   val LorenzoBitPenalty: Double = 1.2
 
-  /** Rate-distortion scalarization: one bit/point is worth ~6.02 dB for an
-    * ideal coder, so the PSNR target maximizes psnr − 6.02·bpp.
-    */
-  private def score(target: Target, bits: Double, psnr: Double, n: Long): Double = target match {
-    case Target.CR   => -bits
-    case Target.PSNR => psnr - 6.02 * bits / n
-  }
-
   /** Runs the full tuning pipeline on `grid` for absolute bound `absEb`. */
   def tune(grid: GridData, absEb: Double, features: Features, target: Target): Result = {
     val nd = grid.ndim
     val n = grid.size.toLong
-    val range = { val r = grid.valueRange; if (r > 0) r else 1.0 }
-    def psnrOf(reconMse: Double): Double =
-      if (reconMse <= 0) 999.0 else 20 * math.log10(range) - 10 * math.log10(reconMse)
+    lazy val range = { val r = grid.valueRange; if (r > 0) r else 1.0 }
+    // Rate-distortion scalarization: one bit/point is worth ~6.02 dB for an
+    // ideal coder, so the PSNR target maximizes psnr − 6.02·bpp.
+    def score(bits: Double, mse: Double): Double = target match {
+      case Target.CR   => -bits
+      case Target.PSNR => psnr(mse, range) - 6.02 * bits / n
+    }
+    val work = new TrialWork
 
     val stats = Sampling.dimStats(grid)
     val blocks = Sampling.sampleBlocks(grid)
@@ -121,7 +125,7 @@ object AutoTuner {
       else Seq(-1)
 
     final case class Tuned(frozen: Int, configs: Array[LevelConfig], ebs: Array[Double],
-                           estBitsFull: Double, estPsnr: Double)
+                           estBitsFull: Double, estMse: Double)
 
     val tunedOptions = freezeOptions.map { frozen =>
       val activeDims = (0 until nd).filterNot(_ == frozen).toArray
@@ -134,7 +138,7 @@ object AutoTuner {
         val cnt = new Array[Long](trialLevels)
         blocks.foreach { b =>
           val plan = blockPlan(b.dims, frozen, cfg, absEb, features.fvfi, stats.dimWeights)
-          val ts = LevelInterp.trial(b, plan, encode = false)
+          val ts = LevelInterp.trial(b, plan, encode = false, work)
           var l = 0
           while (l < math.min(trialLevels, ts.perLevelAbs.length)) {
             agg(l) += ts.perLevelAbs(l); cnt(l) += ts.perLevelCnt(l); l += 1
@@ -158,40 +162,39 @@ object AutoTuner {
           val plan = plan0.copy(
             levelConfigs = Array.tabulate(plan0.maxLevel)(li => chosen(math.min(li, maxLevel - 1))),
             levelEbs = InterpPlan.levelEbs(absEb, alpha, beta, plan0.maxLevel))
-          val ts = LevelInterp.trial(b, plan)
+          val ts = LevelInterp.trial(b, plan, encode = true, work)
           bits += ts.estPayloadBits; sqRecon += ts.sumSqRecon; pts += ts.nPredicted
         }
         val anchorsFull = LevelInterp.countAnchors(grid.dims, anchorStride, frozen)
         val bpp = if (pts == 0) 32.0 else bits / pts
         val estBitsFull = bpp * (n - anchorsFull) + 32.0 * anchorsFull
-        val psnr = psnrOf(if (pts == 0) 0 else sqRecon / pts)
-        ((alpha, beta), estBitsFull, psnr)
+        ((alpha, beta), estBitsFull, if (pts == 0) 0 else sqRecon / pts)
       }
-      val best = abResults.maxBy { case (_, b, p) => score(target, b, p, n) }
+      val best = abResults.maxBy { case (_, b, mse) => score(b, mse) }
       val (alpha, beta) = best._1
       Tuned(frozen, chosen, InterpPlan.levelEbs(absEb, alpha, beta, maxLevel), best._2, best._3)
     }
 
-    val bestTuned = tunedOptions.maxBy(t => score(target, t.estBitsFull, t.estPsnr, n))
+    val bestTuned = tunedOptions.maxBy(t => score(t.estBitsFull, t.estMse))
 
     // ----- Lorenzo tuning (Section 6.5)
     val lorenzoChoice: Option[(Int, Double, Double)] =
       if (!features.allowLorenzo) None
       else {
-        val trials = blocks.map(b => Lorenzo.trial(b, absEb))
+        val trials = blocks.map(b => Lorenzo.trial(b, absEb, work))
         val byOrder = Seq(1, 2).map { o =>
           val ts = trials.map(_.find(_.order == o).get)
           val pts = ts.map(_.nPredicted).sum
           val bits = ts.map(_.estPayloadBits).sum * LorenzoBitPenalty
           val mse = if (pts == 0) 0 else ts.map(t => t.reconMse * t.nPredicted).sum / pts
           val bpp = if (pts == 0) 32.0 else bits / pts
-          (o, bpp * n, psnrOf(mse))
+          (o, bpp * n, mse)
         }
-        Some(byOrder.maxBy { case (_, b, p) => score(target, b, p, n) })
+        Some(byOrder.maxBy { case (_, b, mse) => score(b, mse) })
       }
 
-    val interpScore = score(target, bestTuned.estBitsFull, bestTuned.estPsnr, n)
-    val useLorenzo = lorenzoChoice.exists { case (_, b, p) => score(target, b, p, n) > interpScore }
+    val interpScore = score(bestTuned.estBitsFull, bestTuned.estMse)
+    val useLorenzo = lorenzoChoice.exists { case (_, b, mse) => score(b, mse) > interpScore }
 
     // ----- assemble the final plan. dimWeights MUST be rounded to fp32
     // here: the plan header stores them as floats, and the decompressor's
@@ -201,11 +204,11 @@ object AutoTuner {
       features.fvfi, 0, Array.emptyByteArray)
 
     if (!useLorenzo && features.allowBlockwise)
-      plan = blockwiseTune(grid, plan, absEb, features)
+      plan = blockwiseTune(grid, plan, absEb, features, work)
 
     lorenzoChoice match {
-      case Some((order, b, p)) if useLorenzo => Result(useLorenzo = true, order, plan, b, p)
-      case _ => Result(useLorenzo = false, 0, plan, bestTuned.estBitsFull, bestTuned.estPsnr)
+      case Some((order, b, mse)) if useLorenzo => Result(useLorenzo = true, order, plan, b, mse)(range)
+      case _ => Result(useLorenzo = false, 0, plan, bestTuned.estBitsFull, bestTuned.estMse)(range)
     }
   }
 
@@ -240,7 +243,7 @@ object AutoTuner {
     * candidate and store the winner as a per-block override.
     */
   def blockwiseTune(grid: GridData, plan: InterpPlan, absEb: Double,
-                    features: Features): InterpPlan = {
+                    features: Features, work: TrialWork = new TrialWork): InterpPlan = {
     val bs = 32
     val nd = grid.ndim
     val bDims = grid.dims.map(d => (d + bs - 1) / bs)
@@ -248,7 +251,12 @@ object AutoTuner {
     if (nBlocks <= 1) return plan
     val out = new Array[Byte](nBlocks)
     val candidates = features.splines.toArray
+    // The sub-block and its candidate plans, rebuilt when its extents change.
+    var sub: GridData = null
+    var subPlans: Array[InterpPlan] = null
     val bc = new Array[Int](nd)
+    val origin = new Array[Int](nd)
+    val ext = new Array[Int](nd)
     var bid = 0
     while (bid < nBlocks) {
       var rem = bid; var k = 0
@@ -257,8 +265,6 @@ object AutoTuner {
         bc(k) = rem / st; rem %= st
         k += 1
       }
-      val origin = new Array[Int](nd)
-      val ext = new Array[Int](nd)
       k = 0
       while (k < nd) {
         val blockLo = bc(k) * bs
@@ -268,21 +274,22 @@ object AutoTuner {
         ext(k) = math.min(side, blockHi - origin(k))
         k += 1
       }
-      val sub = grid.slice(origin, ext)
+      if (sub == null || !(sub.dims sameElements ext)) {
+        sub = new GridData(ext.clone(), new Array[Double](ext.product))
+        subPlans = candidates.map(cand => InterpPlan(sub.dims, plan.anchorStride, plan.frozenDim,
+          plan.levelConfigs.map(_.copy(spline = cand)), plan.levelEbs, plan.dimWeights, plan.fvfi, 0,
+          Array.emptyByteArray))
+      }
+      grid.sliceInto(origin, sub)
       var bestI = -1
       var bestErr = Double.PositiveInfinity
       var globalErr = Double.PositiveInfinity
       val globalSpline = plan.levelConfigs.head.spline
       var ci = 0
       while (ci < candidates.length) {
-        val cand = candidates(ci)
-        val cfgs = plan.levelConfigs.map(c => c.copy(spline = cand))
-        val subPlan = InterpPlan(sub.dims, plan.anchorStride,
-          if (plan.frozenDim >= 0 && plan.frozenDim < nd) plan.frozenDim else -1,
-          cfgs, plan.levelEbs, plan.dimWeights, plan.fvfi, 0, Array.emptyByteArray)
-        val ts = LevelInterp.trial(sub, subPlan, encode = false)
+        val ts = LevelInterp.trial(sub, subPlans(ci), encode = false, work)
         if (ts.meanAbsErr < bestErr) { bestErr = ts.meanAbsErr; bestI = ci }
-        if (cand == globalSpline) globalErr = ts.meanAbsErr
+        if (candidates(ci) == globalSpline) globalErr = ts.meanAbsErr
         ci += 1
       }
       // Override only on a significant local win: gratuitous per-block

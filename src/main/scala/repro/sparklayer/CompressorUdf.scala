@@ -57,18 +57,6 @@ object CompressorUdf {
     spark.read.schema(encoder.schema).parquet(path).as(encoder)
   }
 
-  /** Registers SQL-callable UDFs `sci_compress(values, dims, eb)` and
-    * `sci_decompress(bytes)` for the given compressor, so compression can
-    * be expressed in Spark SQL over array columns.
-    */
-  def registerSqlUdfs(spark: SparkSession, compressor: Compressor): Unit = {
-    spark.udf.register("sci_compress",
-      (values: Seq[Double], dims: Seq[Int], eb: Double) =>
-        compressor.compress(new GridData(dims.toArray, values.toArray), eb))
-    spark.udf.register("sci_decompress",
-      (bytes: Array[Byte]) => compressor.decompress(bytes).data.toSeq)
-  }
-
   /** Per-(dataset, field) quality/size summary computed as a DataFrame
     * aggregation joining decompressed blocks against the originals:
     * compressed size, raw size, max point-wise error (NaN when either

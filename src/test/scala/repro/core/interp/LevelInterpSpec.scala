@@ -1,8 +1,10 @@
 package repro.core.interp
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGrids
-import repro.core.{GridData, Metrics}
+import repro.core.{GridData, Metrics, TrialWork}
 
 class LevelInterpSpec extends AnyFunSuite {
 
@@ -192,6 +194,66 @@ class LevelInterpSpec extends AnyFunSuite {
     assert(stats.copy(estPayloadBits = full.estPayloadBits, perLevelAbs = null, perLevelCnt = null) ==
       full.copy(perLevelAbs = null, perLevelCnt = null))
     assert(stats.perLevelAbs.toSeq == full.perLevelAbs.toSeq && stats.perLevelCnt.toSeq == full.perLevelCnt.toSeq)
+  }
+
+  /** Every field of `t` as raw bits, doubles by their IEEE-754 pattern. */
+  private def statBits(t: LevelInterp.TrialStats): Seq[Long] = {
+    def b(d: Double) = java.lang.Double.doubleToRawLongBits(d)
+    Seq(t.nPredicted, b(t.sumAbsErr), b(t.sumSqRecon), b(t.estPayloadBits), t.nAnchors) ++
+      t.perLevelAbs.map(b) ++ t.perLevelCnt
+  }
+
+  /** A random fp32-exact grid of 1-4 dims, sides 1-40 and at most 32768
+    * points, with a random valid plan: anchor stride, per-level configs,
+    * level bounds, a frozen dimension or none, and block overrides or none.
+    */
+  private val trialCase: Gen[(GridData, InterpPlan, Boolean)] = for {
+    nd <- Gen.choose(1, 4)
+    dims <- Gen.listOfN(nd, Gen.choose(1, 40)).retryUntil(_.product <= 32768).map(_.toArray)
+    seed <- Gen.long
+    stride <- Gen.oneOf(2, 4, 8, 16, 32)
+    frozen <- if (nd >= 2) Gen.choose(-1, nd - 1) else Gen.const(-1)
+    levels = Integer.numberOfTrailingZeros(stride)
+    active = (0 until nd).filterNot(_ == frozen).toArray
+    configs <- Gen.listOfN(levels, for {
+      spline <- Gen.oneOf(Spline.Kind.all.toSeq)
+      multi <- Gen.oneOf(false, true)
+      order <- Gen.long.map(s => new scala.util.Random(s).shuffle(active.toSeq))
+      sameLevel <- Gen.oneOf(false, true)
+    } yield LevelConfig(spline, if (multi) Paradigm.MultiDim else Paradigm.OneD(order.toArray), sameLevel))
+    ebs <- Gen.listOfN(levels, Gen.choose(-5.0, -1.0).map(math.pow(10, _)))
+    weights <- Gen.listOfN(nd, Gen.choose(0.01, 1.0))
+    fvfi <- Gen.oneOf(false, true)
+    bs <- Gen.oneOf(0, 8, 16, 32)
+    encode <- Gen.oneOf(false, true)
+  } yield {
+    val rnd = new scala.util.Random(seed)
+    val freqs = Array.fill(nd)(rnd.nextDouble() * 0.6)
+    val grid = GridData.toFloatPrecision(GridData.tabulate(dims) { c =>
+      c.indices.map(k => math.sin(c(k) * freqs(k) + k)).sum + 0.01 * rnd.nextGaussian()
+    })
+    val nBlocks = if (bs == 0) 0 else dims.map(d => (d + bs - 1) / bs).product
+    val blockSplines = Array.fill(nBlocks)(rnd.nextInt(Spline.Kind.all.length).toByte)
+    val plan = InterpPlan(dims, stride, frozen, configs.toArray, ebs.toArray,
+      weights.map(w => (w / weights.sum).toFloat.toDouble).toArray, fvfi, bs, blockSplines)
+    (grid, plan, encode)
+  }
+
+  test("a shared trial work buffer gives the stats of a fresh one and leaves the input unchanged") {
+    val prop = Prop.forAll(Gen.choose(1, 6).flatMap(Gen.listOfN(_, trialCase))) { cases =>
+      val work = new TrialWork
+      cases.forall { case (grid, plan, encode) =>
+        val before = grid.data.clone()
+        // What earlier trials left in the buffers must not matter.
+        java.util.Arrays.fill(work.doubles(0, grid.size), Double.NaN)
+        java.util.Arrays.fill(work.ints(grid.size), -1)
+        val shared = LevelInterp.trial(grid, plan, encode, work)
+        val fresh = LevelInterp.trial(grid, plan, encode, new TrialWork)
+        statBits(shared) == statBits(fresh) && java.util.Arrays.equals(grid.data, before)
+      }
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(100).withInitialSeed(Seed(20251)), prop)
+    assert(result.passed, org.scalacheck.util.Pretty.pretty(result))
   }
 
   test("cubic beats linear on smooth data (prediction accuracy)") {

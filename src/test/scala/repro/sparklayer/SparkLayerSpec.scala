@@ -148,23 +148,6 @@ class SparkLayerSpec extends SparkSpec {
     }
   }
 
-  test("SQL UDFs compress/decompress array columns") {
-    import spark.implicits._
-    CompressorUdf.registerSqlUdfs(spark, ZfpLike())
-    val blocks = BlockStore.blocksDS(spark, ref, blockSide)
-    blocks.createOrReplaceTempView("blocks")
-    val out = spark.sql(
-      """SELECT blockId, sci_decompress(sci_compress(values, dims, 0.01d)) AS back, values
-        |FROM blocks""".stripMargin)
-      .as[(Long, Seq[Double], Seq[Double])]
-      .collect()
-    assert(out.nonEmpty)
-    out.foreach { case (_, back, orig) =>
-      assert(back.size == orig.size)
-      back.zip(orig).foreach { case (b, o) => assert(math.abs(b - o) <= 0.01) }
-    }
-  }
-
   test("qualitySummary aggregation matches the DuckDB oracle") {
     import spark.implicits._
     val grid = SciData.generate(ref)
