@@ -72,49 +72,39 @@ final class GridData(val dims: Array[Int], val data: Array[Double]) extends Seri
     sliceInto(origin, new GridData(extents, new Array[Double](extents.map(_.toLong).product.toInt)))
 
   /** Copies the sub-grid at `origin` with `out`'s extents into `out`. */
-  def sliceInto(origin: Array[Int], out: GridData): GridData = {
-    val extents = out.dims
+  def sliceInto(origin: Array[Int], out: GridData): GridData = { copyBox(origin, out, toSub = true); out }
+
+  /** Writes `sub` back at `origin` (inverse of [[slice]]). */
+  def paste(origin: Array[Int], sub: GridData): Unit = copyBox(origin, sub, toSub = false)
+
+  /** Copies the box at `origin` with `sub`'s extents into `sub` (`toSub`)
+    * or from it, row by row along the last dimension. The box must lie
+    * inside the grid.
+    */
+  private def copyBox(origin: Array[Int], sub: GridData, toSub: Boolean): Unit = {
+    val extents = sub.dims
     require(origin.length == ndim && extents.length == ndim)
     var k = 0
     while (k < ndim) {
       require(origin(k) >= 0 && origin(k) + extents(k) <= dims(k),
-        s"slice out of range on dim $k: ${origin(k)}+${extents(k)} > ${dims(k)}")
+        s"box out of range on dim $k: ${origin(k)}+${extents(k)} > ${dims(k)}")
       k += 1
     }
-    // Copy row by row along the last dimension.
     val last = ndim - 1
     val rowLen = extents(last)
-    val rows = out.size / rowLen
-    val c = new Array[Int](ndim)
+    val rows = sub.size / rowLen
     var row = 0
     while (row < rows) {
       val o = row * rowLen
-      var src = origin(last)
+      var idx = origin(last)
       var i = 0
       while (i < last) {
-        c(i) = (o / out.strides(i)) % extents(i)
-        src += (origin(i) + c(i)) * strides(i)
+        idx += (origin(i) + (o / sub.strides(i)) % extents(i)) * strides(i)
         i += 1
       }
-      System.arraycopy(data, src, out.data, o, rowLen)
+      if (toSub) System.arraycopy(data, idx, sub.data, o, rowLen)
+      else System.arraycopy(sub.data, o, data, idx, rowLen)
       row += 1
-    }
-    out
-  }
-
-  /** Writes `sub` back at `origin` (inverse of [[slice]]). */
-  def paste(origin: Array[Int], sub: GridData): Unit = {
-    val extents = sub.dims
-    val c = new Array[Int](ndim)
-    var o = 0
-    while (o < sub.data.length) {
-      var rem = o; var i = 0
-      while (i < ndim) {
-        c(i) = origin(i) + rem / sub.strides(i); rem %= sub.strides(i)
-        i += 1
-      }
-      data(index(c)) = sub.data(o)
-      o += 1
     }
   }
 

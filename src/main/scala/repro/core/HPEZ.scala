@@ -30,15 +30,15 @@ final class TunedInterpCompressor(val name: String,
       val work = grid.copyGrid
       val (codes, outliers) = Lorenzo.compressWith(work, absEb, tuned.lorenzoOrder)
       w.writeBlob(Huffman.encode(codes))
-      w.writeFloatArray(outliers.map(_.toFloat))
+      LinearQuantizer.writeSideValues(w, outliers)
     } else {
       w.writeByte(0)
       InterpPlan.serialize(w, tuned.plan)
       val work = grid.copyGrid
       val res = LevelInterp.compressWith(work, tuned.plan)
       w.writeBlob(Huffman.encode(res.codes))
-      w.writeFloatArray(res.outliers.map(_.toFloat))
-      w.writeFloatArray(res.anchors.map(_.toFloat))
+      LinearQuantizer.writeSideValues(w, res.outliers)
+      LinearQuantizer.writeSideValues(w, res.anchors)
     }
     Lossless.compress(w.toBytes)
   }
@@ -52,13 +52,13 @@ final class TunedInterpCompressor(val name: String,
         val dims = Array.fill(nd)(r.readVarInt().toInt)
         val order = r.readByte()
         val codes = Huffman.decode(r.readBlob())
-        val outliers = r.readFloatArray().map(_.toDouble)
+        val outliers = LinearQuantizer.readSideValues(r)
         Lorenzo.decompressWith(dims, absEb, order, codes, outliers)
       case 0 =>
         val plan = InterpPlan.deserialize(r)
         val codes = Huffman.decode(r.readBlob())
-        val outliers = r.readFloatArray().map(_.toDouble)
-        val anchors = r.readFloatArray().map(_.toDouble)
+        val outliers = LinearQuantizer.readSideValues(r)
+        val anchors = LinearQuantizer.readSideValues(r)
         LevelInterp.decompressWith(plan, codes, outliers, anchors)
       case other => throw new IllegalArgumentException(s"bad predictor tag $other")
     }

@@ -8,12 +8,15 @@ package repro.core
   */
 object Lossless {
 
+  /** Zstd compression level. */
+  private final val Level = 3
+
   /** Compresses `bytes`; output is self-describing (codec tag + raw size). */
-  def compress(bytes: Array[Byte], level: Int = 3): Array[Byte] = {
+  def compress(bytes: Array[Byte]): Array[Byte] = {
     val w = new ByteWriter(bytes.length / 2 + 64)
     w.writeByte(1)
     w.writeVarInt(bytes.length.toLong)
-    w.writeBlob(com.github.luben.zstd.Zstd.compress(bytes, level))
+    w.writeBlob(com.github.luben.zstd.Zstd.compress(bytes, Level))
     w.toBytes
   }
 

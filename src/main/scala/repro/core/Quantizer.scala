@@ -4,9 +4,13 @@ package repro.core
   *
   * For a value x with prediction p, the signed quantization index is
   * q = round((x - p) / (2e)); reconstruction is p + 2qe, which is within
-  * the absolute bound e of x. Codes are shifted by `radius` so Huffman
+  * the absolute bound e of x. Codes are shifted by [[Radius]] so Huffman
   * sees non-negative symbols; code 0 is the escape for unpredictable
-  * points, whose exact (float32) values are stored in a side list.
+  * points, whose exact values are stored as side values.
+  *
+  * This object owns the code space and the precision of side values (the
+  * outliers and the interpolation anchors): every predictor quantizes,
+  * rounds and stores them through it.
   *
   * Compression must continue predicting from RECONSTRUCTED values so that
   * decompression replays identically: the interpolation traversal and the
@@ -15,25 +19,40 @@ package repro.core
   */
 object LinearQuantizer {
 
+  /** Code of a zero quantization index; indices within ±(Radius − 2) are coded. */
+  final val Radius = 32768
+
+  /** Estimated bits of one stored side value (fp32). */
+  final val SideValueBits = 32.0
+
   /** The code of `value` predicted as `pred`: the quantization index
-    * shifted by `radius`, or 0 (escape) when the index is out of range or
+    * shifted by [[Radius]], or 0 (escape) when the index is out of range or
     * fp rounding at a bin edge would put the reconstruction outside the
     * bound.
     */
-  def code(value: Double, pred: Double, eb: Double, radius: Int): Int = {
+  def code(value: Double, pred: Double, eb: Double): Int = {
     val twoEb = 2 * eb
     val q = math.rint((value - pred) / twoEb)
-    if (math.abs(q) < radius - 1 && math.abs(pred + q * twoEb - value) <= eb) q.toInt + radius else 0
+    if (math.abs(q) < Radius - 1 && math.abs(pred + q * twoEb - value) <= eb) q.toInt + Radius else 0
   }
 
   /** The reconstruction of a non-escape `code` predicted as `pred`. */
-  def reconstruct(code: Int, pred: Double, eb: Double, radius: Int): Double =
-    pred + (code - radius).toDouble * (2 * eb)
+  def reconstruct(code: Int, pred: Double, eb: Double): Double =
+    pred + (code - Radius).toDouble * (2 * eb)
 
-  /** The stored (and reconstructed) value of an escaped point; float32
+  /** The stored (and reconstructed) value of a side value; float32
     * storage is exact for our inputs (see GridData doc).
     */
   def escaped(value: Double): Double = value.toFloat.toDouble
+
+  /** Writes side values, each already rounded by [[escaped]]. */
+  def writeSideValues(w: ByteWriter, values: Array[Double]): Unit = {
+    w.writeVarInt(values.length.toLong)
+    values.foreach(v => w.writeFloat(v.toFloat))
+  }
+
+  /** Inverse of [[writeSideValues]]. */
+  def readSideValues(r: ByteReader): Array[Double] = Array.fill(r.readVarInt().toInt)(r.readFloat().toDouble)
 
   /** Tuning-trial size estimate of the first `n` of `codes`: the codes
     * through the real entropy stage (Huffman + Zstd) plus 36 bits per

@@ -35,9 +35,6 @@ import repro.core._
   */
 object LevelInterp {
 
-  /** Quantizer code radius shared by all interpolation compressors. */
-  val Radius: Int = 32768
-
   /** Output of a compression traversal. */
   final case class InterpResult(codes: Array[Int], outliers: Array[Double], anchors: Array[Double])
 
@@ -56,8 +53,8 @@ object LevelInterp {
                               perLevelAbs: Array[Double], perLevelCnt: Array[Long]) {
     def meanAbsErr: Double = if (nPredicted == 0) 0 else sumAbsErr / nPredicted
     def reconMse: Double = if (nPredicted == 0) 0 else sumSqRecon / nPredicted
-    /** Estimated total bits incl. fp32 anchors. */
-    def totalBits: Double = estPayloadBits + 32.0 * nAnchors
+    /** Estimated total bits incl. the anchors. */
+    def totalBits: Double = estPayloadBits + LinearQuantizer.SideValueBits * nAnchors
   }
 
   // ---------------------------------------------------------------------
@@ -100,7 +97,7 @@ object LevelInterp {
     val anchors = new Array[Double](anchorIdx.length)
     var i = 0
     while (i < anchorIdx.length) {
-      val v = work.data(anchorIdx(i)).toFloat.toDouble // fp32 lossless storage (inputs are fp32-exact)
+      val v = LinearQuantizer.escaped(work.data(anchorIdx(i)))
       anchors(i) = v; work.data(anchorIdx(i)) = v
       i += 1
     }
@@ -135,7 +132,7 @@ object LevelInterp {
     val d = work.load(grid)
     val anchorIdx = anchorIndices(plan)
     var i = 0
-    while (i < anchorIdx.length) { d(anchorIdx(i)) = d(anchorIdx(i)).toFloat.toDouble; i += 1 }
+    while (i < anchorIdx.length) { d(anchorIdx(i)) = LinearQuantizer.escaped(d(anchorIdx(i))); i += 1 }
     val t = new TrialTraversal(d, plan, work.ints(grid.size - anchorIdx.length))
     t.run()
     val estPayloadBits =
@@ -160,10 +157,10 @@ object LevelInterp {
       while (i < m) {
         val v = data(idx)
         val p = pred(i)
-        val code = LinearQuantizer.code(v, p, eb, Radius)
+        val code = LinearQuantizer.code(v, p, eb)
         codes(c) = code; c += 1
         data(idx) =
-          if (code != 0) LinearQuantizer.reconstruct(code, p, eb, Radius)
+          if (code != 0) LinearQuantizer.reconstruct(code, p, eb)
           else { val e = LinearQuantizer.escaped(v); outliers += e; e }
         i += 1; idx += step
       }
@@ -185,7 +182,7 @@ object LevelInterp {
         val code = codes(c); c += 1
         data(idx) =
           if (code == 0) { val v = outliers(oi); oi += 1; v }
-          else LinearQuantizer.reconstruct(code, pred(i), eb, Radius)
+          else LinearQuantizer.reconstruct(code, pred(i), eb)
         i += 1; idx += step
       }
       ci = c
@@ -216,10 +213,10 @@ object LevelInterp {
         val err = math.abs(v - p)
         sa += err
         absL += err
-        val code = LinearQuantizer.code(v, p, eb, Radius)
+        val code = LinearQuantizer.code(v, p, eb)
         codes(c) = code; c += 1
         val recon =
-          if (code != 0) LinearQuantizer.reconstruct(code, p, eb, Radius)
+          if (code != 0) LinearQuantizer.reconstruct(code, p, eb)
           else { outliers += 1; LinearQuantizer.escaped(v) }
         val re = recon - v
         sr += re * re

@@ -206,12 +206,12 @@ object Lorenzo {
     def put(idx: Int, p: Double): Unit =
       if (decode) {
         val code = codes(idx)
-        if (code != 0) d(idx) = LinearQuantizer.reconstruct(code, p, eb, Radius)
+        if (code != 0) d(idx) = LinearQuantizer.reconstruct(code, p, eb)
       } else {
         val v = d(idx)
-        val code = LinearQuantizer.code(v, p, eb, Radius)
+        val code = LinearQuantizer.code(v, p, eb)
         codes(idx) = code
-        val recon = if (code != 0) LinearQuantizer.reconstruct(code, p, eb, Radius) else LinearQuantizer.escaped(v)
+        val recon = if (code != 0) LinearQuantizer.reconstruct(code, p, eb) else LinearQuantizer.escaped(v)
         d(idx) = recon
         if (absErr != null) { absErr(idx) = math.abs(v - p); sqErr(idx) = (recon - v) * (recon - v) }
       }
@@ -271,31 +271,28 @@ object Lorenzo {
   final case class LorenzoTrial(order: Int, nPredicted: Long, meanAbsErr: Double,
                                 reconMse: Double, estPayloadBits: Double)
 
-  /** Evaluates Lorenzo orders 1 and 2 on `sample` in `work`'s buffers,
-    * returning per-order entropy-based size estimates and reconstruction
-    * MSE. FAZ's multiplicative bit-rate adjustment is applied by the caller.
+  /** Evaluates Lorenzo order `order` on `sample` in `work`'s buffers,
+    * returning an entropy-based size estimate and the reconstruction MSE.
+    * FAZ's multiplicative bit-rate adjustment is applied by the caller.
     */
-  def trial(sample: GridData, eb: Double, work: TrialWork = new TrialWork): Seq[LorenzoTrial] =
-    Seq(1, 2).map { order =>
-      val n = sample.size
-      val absErr = work.doubles(1, n)
-      val sqErr = work.doubles(2, n)
-      val codes = work.ints(n)
-      sweep(sample.dims, work.load(sample), eb, order, codes, decode = false, absErr, sqErr)
-      // Summed in raster order, as a point-by-point sweep would.
-      var sumAbs = 0.0
-      var sumSqRecon = 0.0
-      var nOutliers = 0
-      var i = 0
-      while (i < n) {
-        sumAbs += absErr(i); sumSqRecon += sqErr(i)
-        if (codes(i) == 0) nOutliers += 1
-        i += 1
-      }
-      val cnt = n.toLong
-      LorenzoTrial(order, cnt, if (cnt == 0) 0 else sumAbs / cnt,
-        if (cnt == 0) 0 else sumSqRecon / cnt, LinearQuantizer.payloadBits(codes, n, nOutliers))
+  def trial(sample: GridData, eb: Double, order: Int, work: TrialWork = new TrialWork): LorenzoTrial = {
+    val n = sample.size
+    val absErr = work.doubles(1, n)
+    val sqErr = work.doubles(2, n)
+    val codes = work.ints(n)
+    sweep(sample.dims, work.load(sample), eb, order, codes, decode = false, absErr, sqErr)
+    // Summed in raster order, as a point-by-point sweep would.
+    var sumAbs = 0.0
+    var sumSqRecon = 0.0
+    var nOutliers = 0
+    var i = 0
+    while (i < n) {
+      sumAbs += absErr(i); sumSqRecon += sqErr(i)
+      if (codes(i) == 0) nOutliers += 1
+      i += 1
     }
-
-  private val Radius = repro.core.interp.LevelInterp.Radius
+    val cnt = n.toLong
+    LorenzoTrial(order, cnt, if (cnt == 0) 0 else sumAbs / cnt,
+      if (cnt == 0) 0 else sumSqRecon / cnt, LinearQuantizer.payloadBits(codes, n, nOutliers))
+  }
 }

@@ -103,7 +103,7 @@ object AutoTuner {
     val work = new TrialWork
 
     val stats = Sampling.dimStats(grid)
-    val blocks = Sampling.sampleBlocks(grid)
+    val block = Sampling.sampleBlock(grid)
 
     val anchorStride =
       if (features.anchorStride > 0) features.anchorStride
@@ -130,45 +130,32 @@ object AutoTuner {
     val tunedOptions = freezeOptions.map { frozen =>
       val activeDims = (0 until nd).filterNot(_ == frozen).toArray
       val candidates = levelCandidates(features, activeDims)
-      // Trial every candidate (uniform eb) on the sample blocks; pick the
+      // Trial every candidate (uniform eb) on the sample block; pick the
       // best candidate per level by mean absolute prediction error (§6.2).
-      val trialLevels = 5 // sample blocks are 32-sided → levels 1..5 observable
       val perCand = candidates.map { cfg =>
-        val agg = new Array[Double](trialLevels)
-        val cnt = new Array[Long](trialLevels)
-        blocks.foreach { b =>
-          val plan = blockPlan(b.dims, frozen, cfg, absEb, features.fvfi, stats.dimWeights)
-          val ts = LevelInterp.trial(b, plan, encode = false, work)
-          var l = 0
-          while (l < math.min(trialLevels, ts.perLevelAbs.length)) {
-            agg(l) += ts.perLevelAbs(l); cnt(l) += ts.perLevelCnt(l); l += 1
-          }
-        }
-        (cfg, agg, cnt)
+        (cfg, LevelInterp.trial(block, blockPlan(block.dims, frozen, cfg, absEb, features.fvfi, stats.dimWeights),
+          encode = false, work))
       }
       val chosen: Array[LevelConfig] = Array.tabulate(maxLevel) { li =>
-        val l = math.min(li, trialLevels - 1) // levels above 5 reuse level-5 choice
-        perCand.minBy { case (_, agg, cnt) =>
-          if (cnt(l) == 0) Double.PositiveInfinity else agg(l) / cnt(l)
+        val l = math.min(li, TrialLevels - 1) // higher levels reuse the top trial level's choice
+        perCand.minBy { case (_, ts) =>
+          if (ts.perLevelCnt(l) == 0) Double.PositiveInfinity else ts.perLevelAbs(l) / ts.perLevelCnt(l)
         }._1
       }
 
       // ----- error-bound tuning (Eq. 15) on the chosen per-level configs
       val abCands = if (features.ebTuning) AlphaBetaCandidates else Seq((1.0, 1.0))
+      val plan0 = blockPlan(block.dims, frozen, chosen.head, absEb, features.fvfi, stats.dimWeights)
+      val anchorsFull = LevelInterp.countAnchors(grid.dims, anchorStride, frozen)
       val abResults = abCands.map { case (alpha, beta) =>
-        var bits = 0.0; var sqRecon = 0.0; var pts = 0L
-        blocks.foreach { b =>
-          val plan0 = blockPlan(b.dims, frozen, chosen.head, absEb, features.fvfi, stats.dimWeights)
-          val plan = plan0.copy(
-            levelConfigs = Array.tabulate(plan0.maxLevel)(li => chosen(math.min(li, maxLevel - 1))),
-            levelEbs = InterpPlan.levelEbs(absEb, alpha, beta, plan0.maxLevel))
-          val ts = LevelInterp.trial(b, plan, encode = true, work)
-          bits += ts.estPayloadBits; sqRecon += ts.sumSqRecon; pts += ts.nPredicted
-        }
-        val anchorsFull = LevelInterp.countAnchors(grid.dims, anchorStride, frozen)
-        val bpp = if (pts == 0) 32.0 else bits / pts
-        val estBitsFull = bpp * (n - anchorsFull) + 32.0 * anchorsFull
-        ((alpha, beta), estBitsFull, if (pts == 0) 0 else sqRecon / pts)
+        val plan = plan0.copy(
+          levelConfigs = Array.tabulate(plan0.maxLevel)(li => chosen(math.min(li, maxLevel - 1))),
+          levelEbs = InterpPlan.levelEbs(absEb, alpha, beta, plan0.maxLevel))
+        val ts = LevelInterp.trial(block, plan, encode = true, work)
+        val pts = ts.nPredicted
+        val bpp = if (pts == 0) 32.0 else ts.estPayloadBits / pts
+        val estBitsFull = bpp * (n - anchorsFull) + LinearQuantizer.SideValueBits * anchorsFull
+        ((alpha, beta), estBitsFull, if (pts == 0) 0 else ts.sumSqRecon / pts)
       }
       val best = abResults.maxBy { case (_, b, mse) => score(b, mse) }
       val (alpha, beta) = best._1
@@ -181,12 +168,11 @@ object AutoTuner {
     val lorenzoChoice: Option[(Int, Double, Double)] =
       if (!features.allowLorenzo) None
       else {
-        val trials = blocks.map(b => Lorenzo.trial(b, absEb, work))
         val byOrder = Seq(1, 2).map { o =>
-          val ts = trials.map(_.find(_.order == o).get)
-          val pts = ts.map(_.nPredicted).sum
-          val bits = ts.map(_.estPayloadBits).sum * LorenzoBitPenalty
-          val mse = if (pts == 0) 0 else ts.map(t => t.reconMse * t.nPredicted).sum / pts
+          val t = Lorenzo.trial(block, absEb, o, work)
+          val pts = t.nPredicted
+          val bits = t.estPayloadBits * LorenzoBitPenalty
+          val mse = if (pts == 0) 0 else t.reconMse * t.nPredicted / pts
           val bpp = if (pts == 0) 32.0 else bits / pts
           (o, bpp * n, mse)
         }
@@ -230,13 +216,14 @@ object AutoTuner {
     }
   }
 
-  /** Plan for a tuning trial on a (<=32-sided) sample block. */
+  /** Levels a trial on the sample block observes: its anchor stride is the block's side. */
+  private val TrialLevels = Integer.numberOfTrailingZeros(Sampling.BlockSide)
+
+  /** Plan for a tuning trial on the sample block. */
   private def blockPlan(dims: Array[Int], frozen: Int, cfg: LevelConfig, eb: Double,
-                        fvfi: Boolean, weights: Array[Double]): InterpPlan = {
-    val stride = 32
-    InterpPlan(dims, stride, if (frozen >= dims.length) -1 else frozen,
-      Array.fill(5)(cfg), Array.fill(5)(eb), weights, fvfi, 0, Array.emptyByteArray)
-  }
+                        fvfi: Boolean, weights: Array[Double]): InterpPlan =
+    InterpPlan(dims, Sampling.BlockSide, if (frozen >= dims.length) -1 else frozen,
+      Array.fill(TrialLevels)(cfg), Array.fill(TrialLevels)(eb), weights, fvfi, 0, Array.emptyByteArray)
 
   /** Block-wise interpolation tuning (Section 6.6): per 32-sided block,
     * trial-compress a centered sub-block (~1/3 side) with each spline

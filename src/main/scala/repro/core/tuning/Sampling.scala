@@ -71,21 +71,14 @@ object Sampling {
     DimStats(lin, cub)
   }
 
-  /** Uniformly placed sample blocks for tuning compression trials
-    * (the QoZ/HPEZ tuning substrate). Blocks of side `side` (clamped to
-    * the grid) are spaced evenly through the domain; at most `maxBlocks`.
+  /** Side of the sample block that the tuning trials run on. */
+  final val BlockSide = 32
+
+  /** The block the tuning trials compress (the QoZ/HPEZ tuning substrate):
+    * extents min([[BlockSide]], d), centered in the grid.
     */
-  def sampleBlocks(grid: GridData, side: Int = 32, maxBlocks: Int = 1): Seq[GridData] = {
-    val nd = grid.ndim
-    val ext = grid.dims.map(d => math.min(side, d))
-    val nBlocks = math.max(1, math.min(maxBlocks,
-      (0.08 * grid.size / ext.map(_.toLong).product).round.toInt))
-    (0 until nBlocks).map { b =>
-      val origin = Array.tabulate(nd) { k =>
-        val span = grid.dims(k) - ext(k)
-        if (span <= 0) 0 else (span.toLong * (2 * b + 1) / (2 * nBlocks)).toInt
-      }
-      grid.slice(origin, ext)
-    }
+  def sampleBlock(grid: GridData): GridData = {
+    val ext = grid.dims.map(d => math.min(BlockSide, d))
+    grid.slice(Array.tabulate(grid.ndim)(k => (grid.dims(k) - ext(k)) / 2), ext)
   }
 }

@@ -5,7 +5,7 @@ import repro.core.tuning.{AutoTuner, Sampling}
 import repro.wavelet.SperrLike
 
 /** FAZ-like hybrid compression framework (Liu et al., ICS'23): trial
-  * compression on sampled blocks adaptively picks the best pipeline per
+  * compression on a sample block adaptively picks the best pipeline per
   * input — here between the wavelet pipeline (SPERR-like) and the fully
   * tuned interpolation pipeline (HPEZ's machinery with the PSNR target).
   *
@@ -24,16 +24,10 @@ final class FazLike extends Compressor {
 
   override def compress(grid: GridData, absEb: Double): Array[Byte] = {
     require(absEb > 0, "absolute error bound must be positive")
-    // Trial both pipelines on sampled blocks; pick the smaller output.
-    val blocks = Sampling.sampleBlocks(grid)
-    var wBytes = 0L
-    var iBytes = 0L
-    blocks.foreach { b =>
-      wBytes += wavelet.compress(b, absEb).length
-      iBytes += interp.compress(b, absEb).length
-    }
+    // Trial both pipelines on the sample block; pick the smaller output.
+    val block = Sampling.sampleBlock(grid)
     val w = new ByteWriter()
-    if (wBytes < iBytes) {
+    if (wavelet.compress(block, absEb).length < interp.compress(block, absEb).length) {
       w.writeByte(0)
       w.writeBytes(wavelet.compress(grid, absEb))
     } else {

@@ -1,6 +1,6 @@
 package repro.sparklayer
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core.GridData
 import repro.data.SciData
 import repro.data.SciData.FieldRef

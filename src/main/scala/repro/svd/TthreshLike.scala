@@ -34,7 +34,7 @@ final class TthreshLike extends Compressor {
 
     // Core = X ×_k U_kᵀ for all modes.
     var core = grid.data.clone()
-    var curDims = dims.clone()
+    val curDims = dims.clone()
     for (mode <- 0 until nd)
       core = modeProduct(core, curDims, mode, factors(mode), transpose = true)
 
@@ -216,7 +216,7 @@ final class TthreshLike extends Compressor {
 
   private def boundingRanks(codes: Array[Int], dims: Array[Int]): Array[Int] = {
     val nd = dims.length
-    val g = new GridData(dims, new Array[Double](codes.length))
+    val strides = GridData.strides(dims)
     val ranks = new Array[Int](nd)
     var i = 0
     while (i < codes.length) {
@@ -224,8 +224,8 @@ final class TthreshLike extends Compressor {
         var rem = i
         var k = 0
         while (k < nd) {
-          val c = rem / g.strides(k)
-          rem %= g.strides(k)
+          val c = rem / strides(k)
+          rem %= strides(k)
           if (c + 1 > ranks(k)) ranks(k) = c + 1
           k += 1
         }
@@ -238,16 +238,16 @@ final class TthreshLike extends Compressor {
   }
 
   private def extractBox(codes: Array[Int], dims: Array[Int], ranks: Array[Int]): Array[Int] = {
-    val g = new GridData(dims, new Array[Double](codes.length))
-    val box = new GridData(ranks, new Array[Double](ranks.map(_.toLong).product.toInt))
-    val out = new Array[Int](box.size)
-    val c = new Array[Int](dims.length)
+    val strides = GridData.strides(dims)
+    val boxStrides = GridData.strides(ranks)
+    val out = new Array[Int](ranks.map(_.toLong).product.toInt)
     var o = 0
     while (o < out.length) {
       var rem = o
+      var idx = 0
       var k = 0
-      while (k < dims.length) { c(k) = rem / box.strides(k); rem %= box.strides(k); k += 1 }
-      out(o) = codes(g.index(c))
+      while (k < dims.length) { idx += rem / boxStrides(k) * strides(k); rem %= boxStrides(k); k += 1 }
+      out(o) = codes(idx)
       o += 1
     }
     out

@@ -66,7 +66,7 @@ object GoldenStreams {
     Case(s"lorenzo order $order on $label at $eb", () => {
       val g = grid
       val (codes, outliers) = Lorenzo.compressWith(g.copyGrid, eb, order)
-      val t = Lorenzo.trial(g, eb).find(_.order == order).get
+      val t = Lorenzo.trial(g, eb, order)
       val w = new ByteWriter()
       w.writeIntArray(codes)
       w.writeDoubleArray(outliers)
@@ -190,7 +190,7 @@ object GoldenStreams {
     shuffled(out, seed)
   }
 
-  private val R = LevelInterp.Radius
+  private val R = LinearQuantizer.Radius
 
   /** Direct `Huffman.encode` inputs whose streams are pinned: the codec
     * streams alone never reach deep ties, codes longer than 32 bits or the

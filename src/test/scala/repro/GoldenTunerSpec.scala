@@ -46,7 +46,7 @@ object GoldenTuner {
       val g = SciData.generate(ref)
       val eb = Compressor.absoluteBound(g, 1e-3)
       val stats = Sampling.dimStats(g)
-      val b = Sampling.sampleBlocks(g).head
+      val b = Sampling.sampleBlock(g)
       val w = new ByteWriter()
       for {
         frozen <- Seq(-1, stats.roughestDim)

@@ -45,8 +45,8 @@ class OutlierCorrectionSpec extends AnyFunSuite {
     val eb = 0.01
     val orig = Array.fill(10000)(rnd.nextDouble() * 10)
     val recon = orig.map(v => v + (rnd.nextDouble() - 0.5) * 0.2) // errors up to 0.1 >> eb
-    val encoded = OutlierCorrection.encode(orig, recon, eb)
     // encode applies corrections in place
+    OutlierCorrection.encode(orig, recon, eb)
     orig.zip(recon).foreach { case (o, r) => assert(math.abs(o - r) <= eb) }
   }
 

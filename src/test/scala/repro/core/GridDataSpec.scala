@@ -77,6 +77,29 @@ class GridDataSpec extends AnyFunSuite {
       assert(h(Array(2 + i, 1 + j)) == g(Array(2 + i, 1 + j)))
   }
 
+  test("paste is the inverse of slice on 1-D and 4-D grids") {
+    for (dims <- Seq(Array(13), Array(3, 5, 4, 6))) {
+      val g = GridData.tabulate(dims)(c => c.zipWithIndex.map { case (v, k) => v * math.pow(10, k) }.sum)
+      val origin = dims.map(_ / 3)
+      val ext = dims.map(d => d - d / 3 - 1)
+      val h = new GridData(dims.clone(), Array.fill(g.size)(-1.0))
+      h.paste(origin, g.slice(origin, ext))
+      for (idx <- 0 until g.size) {
+        val c = g.coords(idx)
+        val inBox = c.indices.forall(k => c(k) >= origin(k) && c(k) < origin(k) + ext(k))
+        assert(h.data(idx) == (if (inBox) g.data(idx) else -1.0))
+      }
+    }
+  }
+
+  test("paste out of range throws") {
+    val g = new GridData(Array(4, 4), new Array[Double](16))
+    val sub = GridData.tabulate(Array(2, 2))(_ => 1.0)
+    intercept[IllegalArgumentException](g.paste(Array(0, 3), sub))
+    intercept[IllegalArgumentException](g.paste(Array(-1, 0), sub))
+    assert(g.data.forall(_ == 0.0))
+  }
+
   test("slice out of range throws") {
     val g = GridData.tabulate(Array(3, 3))(_ => 0.0)
     intercept[IllegalArgumentException](g.slice(Array(2, 0), Array(2, 2)))

@@ -5,18 +5,18 @@ import scala.util.Random
 
 class QuantizerSpec extends AnyFunSuite {
 
-  private val R = 32768
+  private val R = LinearQuantizer.Radius
 
   /** One compression step: the code, and the value decompression rebuilds. */
   private def quantize(value: Double, pred: Double, eb: Double): (Int, Double) = {
-    val code = LinearQuantizer.code(value, pred, eb, R)
-    (code, if (code != 0) LinearQuantizer.reconstruct(code, pred, eb, R) else LinearQuantizer.escaped(value))
+    val code = LinearQuantizer.code(value, pred, eb)
+    (code, if (code != 0) LinearQuantizer.reconstruct(code, pred, eb) else LinearQuantizer.escaped(value))
   }
 
   /** Decompression: each code's reconstruction, or the next stored outlier. */
   private def replay(preds: Seq[Double], codes: Seq[Int], outliers: Seq[Double], eb: Double): Seq[Double] = {
     val outs = outliers.iterator
-    preds.zip(codes).map { case (p, c) => if (c == 0) outs.next() else LinearQuantizer.reconstruct(c, p, eb, R) }
+    preds.zip(codes).map { case (p, c) => if (c == 0) outs.next() else LinearQuantizer.reconstruct(c, p, eb) }
   }
 
   test("reconstruction respects the error bound") {
@@ -50,13 +50,13 @@ class QuantizerSpec extends AnyFunSuite {
   }
 
   test("perfect prediction yields the radius code") {
-    assert(LinearQuantizer.code(3.0, 3.0, 0.01, R) == R)
+    assert(LinearQuantizer.code(3.0, 3.0, 0.01) == R)
   }
 
   test("code symmetry around radius") {
     val eb = 0.5
-    assert(LinearQuantizer.code(1.0, 0.0, eb, R) == R + 1)  // diff = 1 = 2eb → q=1
-    assert(LinearQuantizer.code(-1.0, 0.0, eb, R) == R - 1) // q=-1
+    assert(LinearQuantizer.code(1.0, 0.0, eb) == R + 1)  // diff = 1 = 2eb → q=1
+    assert(LinearQuantizer.code(-1.0, 0.0, eb) == R - 1) // q=-1
   }
 
   test("bound holds at bin edges (fp rounding guard)") {

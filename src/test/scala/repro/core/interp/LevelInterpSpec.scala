@@ -4,7 +4,7 @@ import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGrids
-import repro.core.{GridData, Metrics, TrialWork}
+import repro.core.{GridData, LinearQuantizer, Metrics, TrialWork}
 
 class LevelInterpSpec extends AnyFunSuite {
 
@@ -153,7 +153,7 @@ class LevelInterpSpec extends AnyFunSuite {
       LevelConfig(Spline.Kind.Natural, Paradigm.MultiDim, sameLevel = false), 1e-6)
     val res = LevelInterp.compressWith(g.copyGrid, plan)
     assert(res.outliers.isEmpty)
-    assert(res.codes.forall(_ == LevelInterp.Radius)) // all exact
+    assert(res.codes.forall(_ == LinearQuantizer.Radius)) // all exact
   }
 
   test("fvfi and non-fvfi produce identical codes (order differs only in memory walk)") {

@@ -31,25 +31,21 @@ class LorenzoSpec extends AnyFunSuite {
     val work = g.copyGrid
     val (codes, outliers) = Lorenzo.compressWith(work, 1e-6, 1)
     // all codes should be the exact-hit code except possibly the first point
-    val radius = repro.core.interp.LevelInterp.Radius
-    assert(codes.tail.forall(_ == radius))
+    assert(codes.tail.forall(_ == repro.core.LinearQuantizer.Radius))
     assert(outliers.length <= 1)
   }
 
   test("order-2 beats order-1 on smooth quadratic-trend data") {
     val g = repro.core.GridData.toFloatPrecision(
       repro.core.GridData.tabulate(Array(16, 16, 16))(c => 0.01 * (c(0) * c(0) + c(1) * c(1) + c(2) * c(2))))
-    val trials = Lorenzo.trial(g, 1e-4)
-    val t1 = trials.find(_.order == 1).get
-    val t2 = trials.find(_.order == 2).get
+    val t1 = Lorenzo.trial(g, 1e-4, 1)
+    val t2 = Lorenzo.trial(g, 1e-4, 2)
     assert(t2.meanAbsErr < t1.meanAbsErr)
   }
 
   test("trial reports plausible statistics") {
     val g = TestGrids.smooth3D()
-    val trials = Lorenzo.trial(g, 1e-3)
-    assert(trials.map(_.order) == Seq(1, 2))
-    trials.foreach { t =>
+    Seq(1, 2).map(Lorenzo.trial(g, 1e-3, _)).foreach { t =>
       assert(t.nPredicted == g.size)
       assert(t.meanAbsErr >= 0)
       assert(t.reconMse >= 0 && t.reconMse <= 1e-3 * 1e-3 + 1e-15)

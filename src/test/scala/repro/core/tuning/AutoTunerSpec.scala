@@ -1,5 +1,7 @@
 package repro.core.tuning
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGrids
 import repro.core.GridData
@@ -36,17 +38,29 @@ class SamplingSpec extends AnyFunSuite {
     assert(math.abs(stats.dimWeights.sum - 1.0) < 1e-9)
   }
 
-  test("sampleBlocks produces blocks within the grid") {
-    val g = TestGrids.smooth3D(40, 50, 60)
-    val blocks = Sampling.sampleBlocks(g, side = 16, maxBlocks = 3)
-    assert(blocks.nonEmpty)
-    blocks.foreach(b => assert(b.dims.forall(_ <= 16)))
+  test("sampleBlock is the centered min(32, d) box") {
+    val shapes = Gen.choose(1, 4).flatMap(nd =>
+      Gen.listOfN(nd, Gen.choose(1, 70)).retryUntil(_.product <= 100000).map(_.toArray))
+    val prop = Prop.forAll(shapes) { dims =>
+      // Every value is its flat index, so each block value names the grid point it came from.
+      val g = new GridData(dims, Array.tabulate(dims.product)(_.toDouble))
+      val b = Sampling.sampleBlock(g)
+      val ext = dims.map(d => math.min(32, d))
+      val origin = dims.indices.map(k => (dims(k) - ext(k)) / 2).toArray
+      b.dims.sameElements(ext) &&
+        origin.indices.forall(k => origin(k) >= 0 && origin(k) + ext(k) <= dims(k)) &&
+        b.data.indices.forall { o =>
+          val c = b.coords(o)
+          b.data(o) == g.index(Array.tabulate(dims.length)(k => origin(k) + c(k)))
+        }
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(200).withInitialSeed(Seed(2024)), prop)
+    assert(result.passed, org.scalacheck.util.Pretty.pretty(result))
   }
 
   test("sampleBlocks on a grid smaller than the block side returns the grid size") {
     val g = TestGrids.smooth3D(8, 8, 8)
-    val blocks = Sampling.sampleBlocks(g, side = 32)
-    assert(blocks.head.dims.toSeq == Seq(8, 8, 8))
+    assert(Sampling.sampleBlock(g).dims.toSeq == Seq(8, 8, 8))
   }
 }
 

@@ -2,7 +2,7 @@ package repro.data
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{Compressor, HPEZ, Metrics}
-import repro.core.tuning.{AutoTuner, Sampling}
+import repro.core.tuning.Sampling
 
 class SciDataSpec extends AnyFunSuite {
   import SciData._
